@@ -42,7 +42,6 @@ fn bench_repeat_solve(c: &mut Criterion) {
         SolverKind::ExactReplicated,
         SolverKind::HopcroftKarpSemi,
         SolverKind::CostScaling,
-        SolverKind::MinCostFlow,
     ];
 
     let mut group = c.benchmark_group("repeat-solve");
@@ -108,13 +107,13 @@ fn bench_repeat_solve(c: &mut Criterion) {
             })
         });
     }
-    // The warm-started capacity probes against the cold ablation: same
-    // divide-and-conquer, but "cold-probes" rebuilds the capacitated
-    // network from scratch per probe where "warm-probes" retargets the
-    // resident network's processor arcs and repairs the flow. Probe and
+    // The partitioned search against the unpartitioned ablation: same
+    // bracket and deficiency bound, but "cold-probes" bisects over the
+    // whole instance where "partitioned" probes at the lower bound and
+    // shrinks the active view after every infeasible probe. Probe and
     // augmentation counters for the same contrast live in
     // results/BENCH_fast_exact.json (the fast_exact bin).
-    group.bench_with_input(BenchmarkId::new("warm-probes", "cost-scaling"), &tall, |b, gs| {
+    group.bench_with_input(BenchmarkId::new("partitioned", "cost-scaling"), &tall, |b, gs| {
         let mut ws = SearchWorkspace::new();
         b.iter(|| gs.iter().map(|g| cost_scaling_in(g, &mut ws).unwrap().makespan).sum::<u64>())
     });
@@ -134,12 +133,11 @@ fn bench_repeat_solve(c: &mut Criterion) {
     }
     for (g, &p) in tall.iter().zip(&tall_problems).take(2) {
         let opt = solve(p, SolverKind::ExactBisection).unwrap().makespan(&p).unwrap();
-        for kind in [SolverKind::HopcroftKarpSemi, SolverKind::CostScaling, SolverKind::MinCostFlow]
-        {
+        for kind in [SolverKind::HopcroftKarpSemi, SolverKind::CostScaling] {
             assert_eq!(solve(p, kind).unwrap().makespan(&p).unwrap(), opt, "{kind} missed opt");
         }
         let mut ws = SearchWorkspace::new();
-        assert_eq!(cost_scaling_in(g, &mut ws).unwrap().makespan, opt, "warm probes missed opt");
+        assert_eq!(cost_scaling_in(g, &mut ws).unwrap().makespan, opt, "partitioned missed opt");
         assert_eq!(cost_scaling_cold_in(g, &mut ws).unwrap().makespan, opt, "cold missed opt");
     }
 }

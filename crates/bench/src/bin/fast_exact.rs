@@ -1,42 +1,36 @@
-//! Fast-exact frontier: warm-started capacity probes vs the cold
-//! rebuild-per-probe ablation, plus the one-shot min-cost-flow backend.
+//! Fast-exact frontier: the partitioned load-range search vs the
+//! unpartitioned bisection ablation.
 //!
 //! The workload is the tall (n ≫ p) unit sweep of the `fast-exact-tall`
 //! bench group — loose counting bounds, so the load-range search really
-//! probes. Three backends over the same instances:
+//! probes. Two backends over the same instances:
 //!
-//! * `cost-scaling-cold` — the pre-warm-start bisection: every capacity
-//!   probe rebuilds the capacitated network and recomputes the flow from
-//!   zero (`cost_scaling_cold_in`).
-//! * `cost-scaling-warm` — the shipped solver: one resident network per
-//!   probe session, processor arcs retargeted in place and the flow
-//!   repaired incrementally, plus instance partitioning
-//!   (`cost_scaling_in`).
-//! * `mcf` — one min-cost max-flow with convex unit-arc bundles; no
-//!   probe loop at all (`mcf_in`).
+//! * `cost-scaling-cold` — the bisection ablation: every capacity probe
+//!   builds the capacitated network over the whole instance and bisects
+//!   the bracket (`cost_scaling_cold_in`).
+//! * `cost-scaling` — the shipped solver: each probe sits at the lower
+//!   bound over the active view, and every infeasible probe partitions
+//!   the instance (`cost_scaling_in`).
 //!
-//! Everything runs under a **1-worker local pool**, which keeps the
-//! multi-way parallel probes off: the cold/warm contrast isolates the
-//! effect of warm-starting alone. Per backend the run records best-of-3
-//! wall-clock seconds, the probe count (`oracle_calls`: capacity probes
-//! for the search kinds, shortest-path augmentations for `mcf`) and the
-//! flow-augmentation count metered off the resident workspace. The run
-//! asserts all three land on identical makespans, then writes
+//! Both share the greedy bracket and the FLN deficiency bound, so the
+//! contrast isolates partitioning. Per backend the run records best-of-3
+//! wall-clock seconds, the probe count (`oracle_calls`) and the
+//! flow-augmentation count metered off the workspace. The run asserts
+//! both land on identical makespans, then writes
 //! `results/BENCH_fast_exact.md` and `results/BENCH_fast_exact.json`
 //! (with `host_cores`, `threads` and the git revision, so numbers are
 //! read in context, plus a `metrics` object holding the run's whole
-//! telemetry registry — probe counts, session temperatures, span
-//! histograms, pool stats). An existing JSON recorded on a host with a
-//! different core count is only overwritten under `--force`.
+//! telemetry registry — probe and partition counts, span histograms). An
+//! existing JSON recorded on a host with a different core count is only
+//! overwritten under `--force`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use semimatch_bench::{
-    emit_report, guard_host_cores, indent_json, markdown_table, record_pool_stats, Options,
-    RunStamp,
+    emit_report, guard_host_cores, indent_json, markdown_table, Options, RunStamp,
 };
-use semimatch_core::exact::{cost_scaling_cold_in, cost_scaling_in, mcf_in};
+use semimatch_core::exact::{cost_scaling_cold_in, cost_scaling_in};
 use semimatch_gen::rng::Xoshiro256;
 use semimatch_gen::{fewg_manyg, hilo_permuted};
 use semimatch_graph::Bipartite;
@@ -49,7 +43,7 @@ const REPEATS: usize = 3;
 /// The tall loose-bound unit sweep of the `fast-exact-tall` bench group:
 /// g = 4, d = 2 skews eligibility toward few processors per group, so the
 /// optimum sits well above the `⌈n/p⌉` counting bound and the load-range
-/// search genuinely probes in both directions.
+/// search genuinely probes.
 fn tall_sweep(count: u64, n: u32, p: u32) -> Vec<Bipartite> {
     let root = Xoshiro256::seed_from_u64(42);
     (0..count)
@@ -78,8 +72,7 @@ struct Row {
 fn run_backend(
     backend: &'static str,
     tall: &[Bipartite],
-    pool: &rayon::ThreadPool,
-    solve: impl Fn(&Bipartite, &mut SearchWorkspace) -> (u64, u32) + Sync,
+    solve: impl Fn(&Bipartite, &mut SearchWorkspace) -> (u64, u32),
 ) -> Row {
     let mut best = f64::INFINITY;
     let mut probes = 0u64;
@@ -88,20 +81,16 @@ fn run_backend(
     for _ in 0..REPEATS {
         let mut ws = SearchWorkspace::new();
         let start = Instant::now();
-        let (sum, calls, augs) = pool.install(|| {
-            let mut sum = 0u64;
-            let mut calls = 0u64;
-            let before = ws.flow_augmentations();
-            for g in tall {
-                let (makespan, oracle_calls) = solve(g, &mut ws);
-                sum += makespan;
-                calls += oracle_calls as u64;
-            }
-            (sum, calls, ws.flow_augmentations() - before)
-        });
+        let mut sum = 0u64;
+        let mut calls = 0u64;
+        for g in tall {
+            let (makespan, oracle_calls) = solve(g, &mut ws);
+            sum += makespan;
+            calls += oracle_calls as u64;
+        }
         best = best.min(start.elapsed().as_secs_f64());
         probes = calls;
-        augmentations = augs;
+        augmentations = ws.flow_augmentations();
         checksum = sum;
     }
     Row { backend, seconds: best, probes, augmentations, checksum }
@@ -112,7 +101,7 @@ fn main() {
     let scale = opts.scale.max(1);
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     guard_host_cores("BENCH_fast_exact.json", host_cores, opts.force);
-    // The timed sections all run under the 1-worker local pool below.
+    // Every solve is sequential on the calling thread.
     let stamp = RunStamp::capture(1);
     // Telemetry for the whole run: solver counters accumulate across every
     // backend and repeat, and land as the report's `metrics` object.
@@ -122,33 +111,22 @@ fn main() {
     let (n, p) = ((8192 / scale).max(64), 32);
     let count = opts.instances.max(2);
     let tall = tall_sweep(count, n, p);
-    // One worker: in-solver parallel probes stay off, so the cold/warm
-    // contrast measures warm-starting alone.
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("local pool");
 
     let rows = [
-        run_backend("cost-scaling-cold", &tall, &pool, |g, ws| {
+        run_backend("cost-scaling-cold", &tall, |g, ws| {
             let r = cost_scaling_cold_in(g, ws).expect("generated instances are unit + covered");
             (r.makespan, r.oracle_calls)
         }),
-        run_backend("cost-scaling-warm", &tall, &pool, |g, ws| {
+        run_backend("cost-scaling", &tall, |g, ws| {
             let r = cost_scaling_in(g, ws).expect("generated instances are unit + covered");
             (r.makespan, r.oracle_calls)
         }),
-        run_backend("mcf", &tall, &pool, |g, ws| {
-            let r = mcf_in(g, ws).expect("generated instances are unit + covered");
-            (r.makespan, r.oracle_calls)
-        }),
     ];
-    for r in &rows[1..] {
-        assert_eq!(r.checksum, rows[0].checksum, "{}: exact backends disagreed", r.backend);
-    }
-    record_pool_stats(&pool.stats());
+    let [cold, partitioned] = &rows;
+    assert_eq!(partitioned.checksum, cold.checksum, "exact backends disagreed");
     semimatch_obs::uninstall();
     let metrics = collecting.registry().render_json();
-    let cold = &rows[0];
-    let warm = &rows[1];
-    let warm_speedup = cold.seconds / warm.seconds.max(f64::EPSILON);
+    let speedup = cold.seconds / partitioned.seconds.max(f64::EPSILON);
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -163,20 +141,18 @@ fn main() {
         })
         .collect();
     let report = format!(
-        "# Fast exact: warm-started probes and the min-cost-flow backend\n\n\
+        "# Fast exact: partitioned load-range search vs the bisection ablation\n\n\
          Tall unit sweep (the `fast-exact-tall` instances): {count} instances, \
-         n = {n}, p = {p}, seed = {}, best of {REPEATS} runs under a 1-worker \
-         pool (in-solver parallel probes off — the contrast isolates \
-         warm-starting), host cores = {host_cores}.\n\n\
-         \"probes\" counts capacity probes for the load-range kinds and \
-         shortest-path augmentations for `mcf`; \"augmentations\" meters the \
-         resident flow network. All backends returned identical makespans \
-         (Σ = {}).\n\n{}\n\
-         Warm-started probing is {warm_speedup:.2}× over the cold \
-         rebuild-per-probe ablation on the same search.\n\n\
-         Score-identity of every exact kind — including `mcf` on weighted \
-         total-load instances — is enforced by `tests/exact_agreement.rs`; \
-         thread-count determinism by `tests/parallel_determinism.rs`.\n",
+         n = {n}, p = {p}, seed = {}, best of {REPEATS} sequential runs, \
+         host cores = {host_cores}.\n\n\
+         \"probes\" counts capacity probes; \"augmentations\" meters the \
+         workspace's flow network. Both backends returned identical \
+         makespans (Σ = {}).\n\n{}\n\
+         The partitioned search is {speedup:.2}× over the unpartitioned \
+         bisection ablation.\n\n\
+         Score-identity of every exact kind is enforced by \
+         `tests/exact_agreement.rs`; thread-count determinism by \
+         `tests/parallel_determinism.rs`.\n",
         opts.seed,
         cold.checksum,
         markdown_table(
@@ -190,7 +166,7 @@ fn main() {
     json.push_str(&format!(
         "  \"meta\": {{\"scale\": {scale}, \"instances\": {count}, \"n\": {n}, \"p\": {p}, \
          \"seed\": {}, {}, \"repeats\": {REPEATS}, \
-         \"pool_threads\": 1, \"warm_speedup_vs_cold\": {warm_speedup:.4}}},\n  \"rows\": [\n",
+         \"speedup_vs_cold\": {speedup:.4}}},\n  \"rows\": [\n",
         opts.seed,
         stamp.json_fields()
     ));
@@ -207,8 +183,8 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    // Whole-run telemetry (all backends × repeats): solver counters,
-    // probe-session temperatures, span histograms and pool stats.
+    // Whole-run telemetry (all backends × repeats): solver counters and
+    // span histograms.
     json.push_str(&format!("  \"metrics\": {}\n", indent_json(&metrics, "  ")));
     json.push_str("}\n");
     emit_report("BENCH_fast_exact.json", &json);

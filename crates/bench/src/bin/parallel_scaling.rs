@@ -1,15 +1,13 @@
-//! Parallel scaling: the two workloads the work-stealing pool was built
-//! to accelerate, replayed under local pools of 1, 2, 4, … workers.
+//! Parallel scaling: the serving workload the work-stealing pool
+//! accelerates inside a run, replayed under local pools of 1, 2, 4, …
+//! workers.
 //!
-//! * **fast-exact-tall** — the tall (n ≫ p) unit sweep from the
-//!   `repeat_solve` bench, solved by the two exact backends with in-solver
-//!   parallel paths: `hk-semi` (work-stealing phase extraction) and
-//!   `cost-scaling` (multi-way capacity probes).
 //! * **streaming** — a sharded `Engine::replay` of a generated
 //!   hypergraph trace, where the repair pass sweeps shards concurrently.
 //!
-//! Every (workload, pool size) cell reports best-of-`REPEATS` wall-clock
-//! seconds and the speedup over the 1-worker run of the same workload;
+//! The exact solvers are sequential, so they have no row here. Every
+//! pool size reports best-of-`REPEATS` wall-clock seconds and the
+//! speedup over the 1-worker run;
 //! the run asserts the result checksum is identical at every pool size
 //! (the determinism contract). The report lands as markdown **and** as
 //! `results/BENCH_parallel.json` with the host core count — on a 1-core
@@ -24,12 +22,8 @@ use semimatch_bench::{
     emit_report, guard_host_cores, indent_json, markdown_table, record_pool_stats, Options,
     RunStamp,
 };
-use semimatch_core::objective::Objective;
-use semimatch_core::solver::{solve_many, Problem, SolverKind};
 use semimatch_gen::rng::Xoshiro256;
 use semimatch_gen::trace::{generate_trace, Trace, TraceParams};
-use semimatch_gen::{fewg_manyg, hilo_permuted};
-use semimatch_graph::Bipartite;
 use semimatch_serve::{Engine, EngineConfig};
 
 /// Timing repeats per cell; the best run is reported.
@@ -43,21 +37,6 @@ fn thread_counts() -> Vec<usize> {
         ts.push(host);
     }
     ts
-}
-
-/// The tall unit sweep of the `fast-exact-tall` bench group.
-fn tall_sweep(count: u64, n: u32, p: u32) -> Vec<Bipartite> {
-    let root = Xoshiro256::seed_from_u64(42);
-    (0..count)
-        .map(|i| {
-            let mut rng = root.stream(i);
-            if i % 2 == 0 {
-                hilo_permuted(n, p, 16, 6, &mut rng)
-            } else {
-                fewg_manyg(n, p, 16, 6, &mut rng)
-            }
-        })
-        .collect()
 }
 
 /// The sharded serving trace of the `streaming` bench group.
@@ -76,8 +55,10 @@ fn streaming_trace(arrivals: u32, seed: u64) -> Trace {
     generate_trace(&params, &mut Xoshiro256::seed_from_u64(seed))
 }
 
+/// The one workload row of the report.
+const WORKLOAD: &str = "streaming/replay-sharded";
+
 struct Cell {
-    workload: String,
     threads: usize,
     seconds: f64,
 }
@@ -109,96 +90,45 @@ fn main() {
     let collecting = Arc::new(semimatch_obs::Collecting::new());
     semimatch_obs::install(collecting.clone());
 
-    // p = 32 keeps HiLo's p-divisible-by-g precondition (g = 16).
-    let tall = tall_sweep(16, (8192 / scale).max(64), 32);
-    let tall_problems: Vec<Problem<'_>> = tall.iter().map(Problem::SingleProc).collect();
     let trace = streaming_trace((8192 / scale).max(128), opts.seed);
     let serve_cfg = EngineConfig { shards: 8, ..EngineConfig::default() };
 
     let mut cells: Vec<Cell> = Vec::new();
-    let mut checksums: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
+    let mut checksum = None;
     for &t in &counts {
-        for kind in [SolverKind::HopcroftKarpSemi, SolverKind::CostScaling] {
-            let (secs, sum) = time_under(t, || {
-                solve_many(&tall_problems, &[kind], Objective::Makespan)
-                    .iter()
-                    .zip(&tall_problems)
-                    .map(|(r, p)| r[0].as_ref().unwrap().makespan(p).unwrap())
-                    .sum()
-            });
-            let workload = format!("fast-exact-tall/{}", kind.name());
-            match checksums.get(&workload) {
-                None => {
-                    checksums.insert(workload.clone(), sum);
-                }
-                Some(&expect) => {
-                    assert_eq!(sum, expect, "{workload}: result changed at {t} threads")
-                }
-            }
-            cells.push(Cell { workload, threads: t, seconds: secs });
-        }
-        let (secs, sum) = time_under(t, || {
+        let (seconds, sum) = time_under(t, || {
             Engine::replay(serve_cfg, &trace).expect("coverable trace").bottleneck()
         });
-        let workload = "streaming/replay-sharded".to_string();
-        match checksums.get(&workload) {
-            None => {
-                checksums.insert(workload.clone(), sum);
-            }
-            Some(&expect) => assert_eq!(sum, expect, "{workload}: result changed at {t} threads"),
-        }
-        cells.push(Cell { workload, threads: t, seconds: secs });
+        let expect = *checksum.get_or_insert(sum);
+        assert_eq!(sum, expect, "{WORKLOAD}: result changed at {t} threads");
+        cells.push(Cell { threads: t, seconds });
     }
 
     semimatch_obs::uninstall();
     let metrics = collecting.registry().render_json();
 
-    let base = |w: &str| -> f64 {
-        cells.iter().find(|c| c.workload == w && c.threads == 1).expect("1-thread cell").seconds
-    };
+    let base = cells[0].seconds;
+    let speedup = |c: &Cell| base / c.seconds.max(f64::EPSILON);
+    let widest = cells.last().expect("nonempty");
 
-    // Aggregate speedup at the widest pool: total 1-thread time over
-    // total widest-pool time.
-    let widest = *counts.last().expect("nonempty");
-    let total_1: f64 = cells.iter().filter(|c| c.threads == 1).map(|c| c.seconds).sum();
-    let total_w: f64 = cells.iter().filter(|c| c.threads == widest).map(|c| c.seconds).sum();
-    let aggregate = total_1 / total_w.max(f64::EPSILON);
-
-    // Markdown: workloads as rows, pool sizes as columns.
+    // Markdown: the workload as the row, pool sizes as columns.
     let mut headers = vec!["Workload".to_string()];
     headers.extend(counts.iter().map(|t| format!("{t}T s (×)")));
     let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let workloads: Vec<String> = checksums.keys().cloned().collect();
-    let rows: Vec<Vec<String>> = workloads
-        .iter()
-        .map(|w| {
-            let mut row = vec![w.clone()];
-            for &t in &counts {
-                let c = cells
-                    .iter()
-                    .find(|c| &c.workload == w && c.threads == t)
-                    .expect("cell computed above");
-                row.push(format!(
-                    "{:.3} ({:.2}×)",
-                    c.seconds,
-                    base(w) / c.seconds.max(f64::EPSILON)
-                ));
-            }
-            row
-        })
-        .collect();
+    let mut row = vec![WORKLOAD.to_string()];
+    row.extend(cells.iter().map(|c| format!("{:.3} ({:.2}×)", c.seconds, speedup(c))));
     let report = format!(
         "# Parallel scaling\n\nscale = {}, seed = {}, host cores = {}, repeats = {}\n\n{}\n\
-         aggregate speedup at {} workers: {:.2}×\n\n\
-         Checksums identical at every pool size (deterministic-equivalent \
-         parallel paths).\n",
+         speedup at {} workers: {:.2}×\n\n\
+         Checksums identical at every pool size (the sharded sweep is \
+         deterministic-equivalent to the sequential shard loop).\n",
         scale,
         opts.seed,
         host_cores,
         REPEATS,
-        markdown_table(&header_refs, &rows),
-        widest,
-        aggregate
+        markdown_table(&header_refs, &[row]),
+        widest.threads,
+        speedup(widest)
     );
     emit_report("parallel_scaling.md", &report);
 
@@ -206,27 +136,26 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"meta\": {{\"scale\": {}, \"seed\": {}, {}, \"repeats\": {}, \
-         \"widest_pool\": {}, \"aggregate_speedup_at_widest\": {:.4}}},\n  \"rows\": [\n",
+         \"widest_pool\": {}, \"speedup_at_widest\": {:.4}}},\n  \"rows\": [\n",
         scale,
         opts.seed,
         stamp.json_fields(),
         REPEATS,
-        widest,
-        aggregate
+        widest.threads,
+        speedup(widest)
     ));
     for (i, c) in cells.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \"seconds\": {:.6}, \
+            "    {{\"workload\": \"{WORKLOAD}\", \"threads\": {}, \"seconds\": {:.6}, \
              \"speedup_vs_1t\": {:.4}}}{}\n",
-            c.workload,
             c.threads,
             c.seconds,
-            base(&c.workload) / c.seconds.max(f64::EPSILON),
+            speedup(c),
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }
     json.push_str("  ],\n");
-    // Whole-sweep telemetry: solver counters across every pool size plus
+    // Whole-sweep telemetry: serve counters across every pool size plus
     // the summed work-stealing stats of all local pools.
     json.push_str(&format!("  \"metrics\": {}\n", indent_json(&metrics, "  ")));
     json.push_str("}\n");

@@ -5,22 +5,14 @@
 //! over the **load range**: capacitated feasibility probes split the range
 //! of possible bottleneck values until the optimal load profile is pinned.
 //! This backend implements both halves of that design over the
-//! repository's resident flow substrate:
+//! repository's flow substrate:
 //!
 //! * the range starts at `[⌈n/p⌉, greedy]` — the counting lower bound
 //!   against a sorted-greedy witness, computed **once**: recursion levels
 //!   inherit the bracket instead of re-sorting the subinstance;
-//! * every probe is **warm-started**: one resident flow network per
-//!   monotone probe direction survives across probes ([`warm_probe_in`]),
-//!   anchored at the highest *infeasible* capacity. A probe raises the
-//!   sink arcs in place
-//!   ([`FlowNetwork::raise_capacity`](semimatch_matching::FlowNetwork::raise_capacity))
-//!   and augments only the delta — short residual paths, since the fresh
-//!   headroom sits one hop from the sink — then rolls back to the anchor
-//!   via an `O(arcs)` flow checkpoint when the answer is feasible
-//!   ([`probe_checkpoint`]/[`probe_rollback`]): the session never cancels
-//!   a near-maximum flow, the direction whose re-augmentation is slower
-//!   than a rebuild;
+//! * every round is one capacitated probe ([`probe_in`]) at `lo`, built
+//!   fresh over the active view in the [`SearchWorkspace`] flow arena. A
+//!   feasible probe closes the bracket outright;
 //! * an **infeasible** probe at capacity `D` covering `c < n` tasks
 //!   tightens the lower half by the FLN deficiency bound: feasibility at
 //!   `D' ≥ D` can cover at most `c + p·(D' − D)` tasks, so
@@ -33,47 +25,28 @@
 //!   deficiency bound sharpens to `⌈u/|S_P|⌉` over the surviving
 //!   processors.
 //!
+//! Probing at `lo ≥ ⌈|T|/|P|⌉` is what keeps the loop this simple: an
+//! infeasible probe there always leaves some processor or task outside
+//! the reached set (were every active processor reached, all of them
+//! would be saturated at `lo`, covering every task), so each round
+//! strictly shrinks the view or ends the search.
+//!
 //! All recursion bookkeeping (active views, committed assignments, BFS
-//! marks) is allocated once per call; the flow scratch lives in the
-//! [`SearchWorkspace`] arena (or in resident per-worker probe slots on the
-//! parallel path), so no per-level allocation appears.
+//! marks) is allocated once per call and the flow scratch lives in the
+//! workspace arena, so no per-level allocation appears.
 //!
 //! Under sum objectives the registry appends the Harvey cost-reducing
 //! descent to the profile-search witness, the composition FLN's total-cost
 //! objective (`Objective::FlowTime`) shares with the other exact kinds.
 
-use rayon::prelude::*;
 use semimatch_graph::Bipartite;
-use semimatch_matching::capacitated::{
-    extract_probe_in, max_assignment_in, probe_checkpoint, probe_rollback, warm_probe_in,
-    ProbeState,
-};
+use semimatch_matching::capacitated::{extract_probe_in, max_assignment_in, probe_in};
 use semimatch_matching::{SearchWorkspace, NONE};
 use semimatch_obs as obs;
 
 use crate::error::Result;
 use crate::exact::unit::{check_instance, ExactResult};
 use crate::problem::SemiMatching;
-
-/// Minimum instance size before probes fan out across the pool: each
-/// parallel probe keeps its own resident flow arena, which only pays for
-/// itself once a single probe clearly dominates the workspace allocation.
-const PAR_PROBE_MIN_TASKS: u32 = 512;
-
-/// A resident parallel-probe slot: its warm network state, workspace and
-/// extraction buffer move through the work-stealing pool by value and come
-/// back with the probe result, so repeated rounds allocate nothing.
-#[derive(Default)]
-struct ProbeSlot {
-    st: ProbeState,
-    ws: SearchWorkspace,
-    out: Vec<u32>,
-    /// Whether this slot has already served a probe in the current solve —
-    /// a reused slot is a warm session for the telemetry tally (its arena
-    /// and adjacency are resident, even if a partition forces the arcs to
-    /// be retargeted over the shrunk view).
-    used: bool,
-}
 
 /// Exact optimum via divide-and-conquer on the load range, throwaway
 /// scratch.
@@ -132,9 +105,6 @@ pub fn cost_scaling_seeded_in(
     let mut calls = 0u32;
     // Telemetry accumulators, flushed once at return (plain locals: the
     // probe loop itself never touches the registry).
-    let mut warm_sessions = 0u64;
-    let mut cold_sessions = 0u64;
-    let mut rollbacks = 0u64;
     let mut partitions = 0u64;
     let mut deficiency_skips = 0u64;
 
@@ -147,206 +117,46 @@ pub fn cost_scaling_seeded_in(
     let mut task_mark = vec![false; n as usize];
     let mut proc_mark = vec![false; p as usize];
     let mut bfs_queue: Vec<u32> = Vec::new();
-    // Subinstance build id: bumping it invalidates every resident probe
-    // network (they rebuild over the shrunk view on next use).
-    let mut epoch = 0u64;
-    let mut seq_state = ProbeState::default();
-    let mut seq_used = false;
-    let mut seq_out: Vec<u32> = vec![NONE; n as usize];
-    let mut slots: Vec<ProbeSlot> = Vec::new();
+    let mut out: Vec<u32> = vec![NONE; n as usize];
 
-    let threads = rayon::current_num_threads();
-    let par_probes = threads > 1 && n >= PAR_PROBE_MIN_TASKS;
     while lo < hi {
-        let range = hi - lo;
-        // The round's best (largest-capacity) infeasible probe drives the
-        // partition; (capacity, uncovered, slot index or sequential).
-        let mut part: Option<(u32, u64, Option<usize>)> = None;
-        if par_probes && range >= 3 {
-            // Multi-way step: probe `k` evenly spaced interior capacities
-            // at once, one per pool worker. Feasibility is monotone in the
-            // capacity, so every infeasible probe tightens `lo` by its own
-            // deficiency bound and the smallest feasible probe becomes the
-            // new `hi` — the bracket converges to the same optimum as the
-            // binary search, it just eats the range in parallel bites.
-            let k = (threads as u32).min(range - 1).max(2);
-            let mut caps: Vec<u32> =
-                (1..=k).map(|i| lo + ((range as u64 * i as u64) / (k as u64 + 1)) as u32).collect();
-            caps.retain(|&c| c > lo && c < hi);
-            caps.dedup();
-            if caps.is_empty() {
-                caps.push(lo + range / 2);
-            }
-            calls += caps.len() as u32;
-            while slots.len() < caps.len() {
-                slots.push(ProbeSlot::default());
-            }
-            let spare = slots.split_off(caps.len());
-            let jobs: Vec<(u32, ProbeSlot)> = caps.into_iter().zip(slots.drain(..)).collect();
-            // Checkpoint/rollback eligibility is decided by pre-dispatch
-            // slot state; recompute it here (same predicate as inside the
-            // closure) so the accumulators stay off the parallel path. The
-            // session-temperature tally is a separate axis: a slot that has
-            // served any earlier probe this solve is a warm session (its
-            // arena is resident), whether or not a partition invalidated
-            // the epoch in between.
-            let warm_flags: Vec<bool> = jobs
-                .iter()
-                .map(|(cap, slot)| slot.st.is_warm(epoch) && *cap >= slot.st.capacity())
-                .collect();
-            let used_flags: Vec<bool> = jobs.iter().map(|(_, slot)| slot.used).collect();
-            let (at, ap, pp) = (&active_tasks, &active_procs, &proc_pos);
-            let done: Vec<(u32, u64, ProbeSlot)> = jobs
-                .into_par_iter()
-                .map(|(cap, mut slot)| {
-                    // Same monotone-session policy as the sequential path,
-                    // per slot: checkpoint a warm raise and roll back on a
-                    // feasible answer, so each resident network stays
-                    // anchored at its highest infeasible capacity.
-                    let warm = slot.st.is_warm(epoch) && cap >= slot.st.capacity();
-                    if warm {
-                        probe_checkpoint(&mut slot.st, &slot.ws);
-                    }
-                    let card = warm_probe_in(g, at, ap, pp, epoch, cap, &mut slot.st, &mut slot.ws);
-                    slot.out.resize(g.n_left() as usize, NONE);
-                    extract_probe_in(g, at, pp, &mut slot.out, &slot.ws);
-                    if warm && card == at.len() as u64 {
-                        probe_rollback(&mut slot.st, &mut slot.ws);
-                    }
-                    slot.used = true;
-                    (cap, card, slot)
-                })
-                .collect();
-            let active_n = active_tasks.len() as u64;
-            for (i, (cap, card, slot)) in done.iter().enumerate() {
-                if used_flags[i] {
-                    warm_sessions += 1;
-                } else {
-                    cold_sessions += 1;
-                }
-                if *card == active_n {
-                    if warm_flags[i] {
-                        rollbacks += 1;
-                    }
-                    if *cap < hi {
-                        hi = *cap;
-                        snapshot_witness(&mut witness, &committed, &active_tasks, &slot.out);
-                        have_witness = true;
-                    }
-                } else {
-                    let uncovered = active_n - card;
-                    let bound = (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1);
-                    if bound > 1 {
-                        deficiency_skips += 1;
-                    }
-                    lo = lo.max(cap + bound);
-                    if part.is_none_or(|(c, _, _)| c < *cap) {
-                        part = Some((*cap, uncovered, Some(i)));
-                    }
-                }
-            }
-            if let Some((cap, uncovered, Some(i))) = part {
-                let shrunk = partition_active(
-                    g,
-                    &done[i].2.out,
-                    &mut committed,
-                    &mut active_tasks,
-                    &mut active_procs,
-                    &mut proc_pos,
-                    &mut task_mark,
-                    &mut proc_mark,
-                    &mut bfs_queue,
-                );
-                lo = lo.max(cap + (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1));
-                if shrunk {
-                    epoch += 1;
-                    partitions += 1;
-                }
-            }
-            slots.extend(done.into_iter().map(|(_, _, slot)| slot));
-            slots.extend(spare);
-        } else {
-            // Anchored sequential probe. A fresh session (first probe, or a
-            // partition just shrunk the view) builds the resident network at
-            // `lo` — the cheap end: an infeasible build routes short paths
-            // and immediately sharpens `lo`, a feasible one closes the
-            // bracket outright. A warm session answers the bisection
-            // midpoint by a checkpointed *raise* from its anchor (the
-            // highest infeasible capacity seen) and rolls back on a
-            // feasible answer, so the resident flow only ever moves in the
-            // monotone raising direction — the direction whose augmenting
-            // paths stay short.
-            let fresh = !seq_state.is_warm(epoch);
-            let cap = if fresh { lo } else { lo + range / 2 };
-            calls += 1;
-            // Temperature tally: the first probe of the solve builds the
-            // resident arena from nothing (cold); every later probe reuses
-            // it (warm) — even an epoch-invalidated rebuild retargets arcs
-            // inside the already-sized arena.
-            if seq_used {
-                warm_sessions += 1;
-            } else {
-                cold_sessions += 1;
-                seq_used = true;
-            }
-            if !fresh {
-                probe_checkpoint(&mut seq_state, ws);
-            }
-            let card = warm_probe_in(
-                g,
-                &active_tasks,
-                &active_procs,
-                &proc_pos,
-                epoch,
-                cap,
-                &mut seq_state,
-                ws,
-            );
-            extract_probe_in(g, &active_tasks, &proc_pos, &mut seq_out, ws);
-            let active_n = active_tasks.len() as u64;
-            if card == active_n {
-                hi = cap;
-                snapshot_witness(&mut witness, &committed, &active_tasks, &seq_out);
-                have_witness = true;
-                if !fresh {
-                    probe_rollback(&mut seq_state, ws);
-                    rollbacks += 1;
-                }
-            } else {
-                // FLN deficiency bound: the shortfall dictates how much
-                // extra capacity the whole surviving pool needs before the
-                // probe can close.
-                let uncovered = active_n - card;
-                let bound = (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1);
-                if bound > 1 {
-                    deficiency_skips += 1;
-                }
-                lo = cap + bound;
-                let shrunk = partition_active(
-                    g,
-                    &seq_out,
-                    &mut committed,
-                    &mut active_tasks,
-                    &mut active_procs,
-                    &mut proc_pos,
-                    &mut task_mark,
-                    &mut proc_mark,
-                    &mut bfs_queue,
-                );
-                lo = lo.max(cap + (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1));
-                if shrunk {
-                    epoch += 1;
-                    partitions += 1;
-                }
-            }
+        let cap = lo;
+        calls += 1;
+        let card = probe_in(g, &active_tasks, &active_procs, &proc_pos, cap, ws);
+        extract_probe_in(g, &active_tasks, &proc_pos, &mut out, ws);
+        let active_n = active_tasks.len() as u64;
+        if card == active_n {
+            // Feasible at the lower bound: the bracket closes.
+            hi = cap;
+            snapshot_witness(&mut witness, &committed, &active_tasks, &out);
+            have_witness = true;
+            break;
         }
+        // FLN deficiency bound: the shortfall dictates how much extra
+        // capacity the surviving processors need before the probe can
+        // close; partitioning can only shrink that pool, which sharpens it.
+        let uncovered = active_n - card;
+        if uncovered.div_ceil(active_procs.len() as u64) > 1 {
+            deficiency_skips += 1;
+        }
+        let shrunk = partition_active(
+            g,
+            &out,
+            &mut committed,
+            &mut active_tasks,
+            &mut active_procs,
+            &mut proc_pos,
+            &mut task_mark,
+            &mut proc_mark,
+            &mut bfs_queue,
+        );
+        debug_assert!(shrunk, "an infeasible probe at lo = {cap} left the view unchanged");
+        partitions += u64::from(shrunk);
+        lo = cap + (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1);
     }
     if obs::enabled() {
         obs::counter_add("cost_scaling.solves", 1);
         obs::counter_add("cost_scaling.probes", calls as u64);
-        obs::counter_add("cost_scaling.warm_sessions", warm_sessions);
-        obs::counter_add("cost_scaling.cold_sessions", cold_sessions);
-        obs::counter_add("cost_scaling.rollbacks", rollbacks);
         obs::counter_add("cost_scaling.partitions", partitions);
         obs::counter_add("cost_scaling.deficiency_skips", deficiency_skips);
     }
@@ -359,11 +169,11 @@ pub fn cost_scaling_seeded_in(
     Ok(ExactResult { makespan: hi as u64, solution, oracle_calls: calls })
 }
 
-/// The cold ablation baseline behind the warm-vs-cold bench contrast: the
-/// same bracket and deficiency-bound search as [`cost_scaling_in`], but
-/// every probe clears and refills the flow arena from scratch
-/// ([`max_assignment_in`]) and the instance is never partitioned. Probes
-/// run sequentially so the comparison isolates warm-starting alone.
+/// The unpartitioned ablation behind the bench contrast: the same bracket
+/// and deficiency-bound search as [`cost_scaling_in`], but each probe
+/// bisects the bracket over the whole instance ([`max_assignment_in`])
+/// and the instance is never partitioned, so the comparison isolates
+/// partitioning.
 pub fn cost_scaling_cold_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Result<ExactResult> {
     check_instance(g)?;
     let n = g.n_left();
@@ -438,8 +248,8 @@ fn snapshot_witness(witness: &mut [u32], committed: &[u32], active: &[u32], out:
 /// in `S_P` is saturated. Tasks outside `S_T` therefore sit on processors
 /// outside `S_P` at load `≤ D < opt` and can be committed for good; the
 /// search continues on the strictly smaller `(S_T, S_P)` whose optimum
-/// equals the global optimum. Returns whether anything shrank (the caller
-/// bumps the probe epoch). `O(active edges)`, allocation-free.
+/// equals the global optimum. Returns whether anything shrank.
+/// `O(active edges)`, allocation-free.
 #[allow(clippy::too_many_arguments)]
 fn partition_active(
     g: &Bipartite,
@@ -624,8 +434,47 @@ mod tests {
         assert_eq!(cost_scaling(&e).unwrap().makespan, 0);
     }
 
-    /// Randomized cross-check: warm partitioned search == incremental
-    /// matching exact == cold baseline on a mix of shapes.
+    /// Every infeasible probe shrinks the view (the `debug_assert!` in the
+    /// probe loop), so a solve probes at most once per partition plus the
+    /// closing feasible probe — even from a skewed seed on a tall instance.
+    #[test]
+    fn probes_never_outnumber_partitions_plus_one() {
+        use semimatch_gen::hilo_permuted;
+        use semimatch_gen::rng::Xoshiro256;
+        use std::sync::Arc;
+
+        let g = hilo_permuted(4096, 16, 4, 2, &mut Xoshiro256::seed_from_u64(7));
+        // Each task on its lowest-numbered processor: valid, far from
+        // balanced, so the bracket stays wide.
+        let seed: Vec<u32> = (0..g.n_left()).map(|t| g.neighbors(t)[0]).collect();
+        let collecting = Arc::new(obs::Collecting::new());
+        obs::install(collecting.clone());
+        let r = cost_scaling_seeded_in(&g, Some(&seed), &mut SearchWorkspace::new());
+        obs::uninstall();
+        r.unwrap().solution.validate(&g).unwrap();
+        let snap = collecting.registry().snapshot();
+        let counter = |name: &str| {
+            snap.iter()
+                .find_map(|(n, v)| match v {
+                    obs::MetricValue::Counter(x) if n == name => Some(*x),
+                    _ => None,
+                })
+                .unwrap_or(0)
+        };
+        let probes = counter("cost_scaling.probes");
+        let partitions = counter("cost_scaling.partitions");
+        // Other tests of this binary may solve while the recorder is
+        // installed; the bound holds per solve, so sum it over solves.
+        let solves = counter("cost_scaling.solves");
+        assert!(probes >= 2, "the seeded bracket closed without searching ({probes} probes)");
+        assert!(
+            probes <= partitions + solves,
+            "{probes} probes, {partitions} partitions over {solves} solves"
+        );
+    }
+
+    /// Randomized cross-check: partitioned search == incremental matching
+    /// exact == unpartitioned baseline on a mix of shapes.
     #[test]
     fn randomized_agreement_with_cold_and_incremental() {
         let mut state = 0x5eed_cafe_u64;
@@ -649,11 +498,11 @@ mod tests {
             edges.sort_unstable();
             edges.dedup();
             let g = Bipartite::from_edges(n1, n2, &edges).unwrap();
-            let warm = cost_scaling(&g).unwrap();
-            warm.solution.validate(&g).unwrap();
+            let part = cost_scaling(&g).unwrap();
+            part.solution.validate(&g).unwrap();
             let cold = cost_scaling_cold_in(&g, &mut SearchWorkspace::new()).unwrap();
             let incr = exact_unit(&g, SearchStrategy::Incremental).unwrap();
-            assert_eq!(warm.makespan, incr.makespan, "round {round}");
+            assert_eq!(part.makespan, incr.makespan, "round {round}");
             assert_eq!(cold.makespan, incr.makespan, "round {round}");
         }
     }

@@ -12,11 +12,8 @@
 //!   load-reducing paths at once (`O(√n · m)`-flavored).
 //! * [`mod@cost_scaling`] — Fakcharoenphol–Laekhanukit–Nanongkai-style
 //!   divide-and-conquer on the load range, pinning the optimal profile
-//!   with capacitated feasibility probes through the resident Dinic
-//!   scratch.
-//! * [`mod@mcf`] — a single min-cost max-flow over convex unit-arc
-//!   bundles: balanced (hence simultaneously optimal) assignments on unit
-//!   instances, and the first fast exact kind for weighted total load.
+//!   with capacitated feasibility probes through the workspace's Dinic
+//!   arena.
 //! * [`brute_force`] — branch-and-bound exhaustive search for small
 //!   (weighted, hypergraph) instances; the ground truth for every
 //!   heuristic test and for the Theorem 1 reduction.
@@ -25,7 +22,6 @@ pub mod brute_force;
 pub mod cost_scaling;
 pub mod harvey;
 pub mod hk_semi;
-pub mod mcf;
 pub mod unit;
 
 pub use brute_force::{
@@ -37,7 +33,6 @@ pub use cost_scaling::{
 };
 pub use harvey::harvey_exact;
 pub use hk_semi::{hk_semi, hk_semi_in};
-pub use mcf::{mcf, mcf_in, mcf_objective_in};
 pub use unit::{
     exact_unit, exact_unit_in, exact_unit_replicated, exact_unit_replicated_in, ExactResult,
     SearchStrategy,

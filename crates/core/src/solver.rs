@@ -57,7 +57,7 @@ use crate::error::{CoreError, Result};
 use crate::exact::{
     brute_force_multiproc, brute_force_multiproc_objective, brute_force_singleproc,
     brute_force_singleproc_objective, cost_scaling_in, cost_scaling_seeded_in, exact_unit_in,
-    exact_unit_replicated_in, harvey_exact, hk_semi_in, mcf_in, mcf_objective_in, SearchStrategy,
+    exact_unit_replicated_in, harvey_exact, hk_semi_in, SearchStrategy,
 };
 use crate::greedy::basic::greedy_in_order_with;
 use crate::greedy::double_sorted::double_sorted_with;
@@ -289,11 +289,6 @@ pub enum SolverKind {
     /// Exact via divide-and-conquer on the load range with capacitated
     /// feasibility probes (Fakcharoenphol–Laekhanukit–Nanongkai style).
     CostScaling,
-    /// Exact via one min-cost max-flow over convex unit-arc bundles
-    /// (Johnson potentials, integer arithmetic). Balanced — hence
-    /// simultaneously optimal for every reported objective — on unit
-    /// instances; the first fast exact kind for weighted total load.
-    MinCostFlow,
     // --- MULTIPROC heuristics (§IV-D) ---
     /// sorted-greedy-hyp (Algorithm 4).
     Sgh,
@@ -321,7 +316,7 @@ pub enum SolverKind {
 
 impl SolverKind {
     /// Every registered solver.
-    pub const ALL: [SolverKind; 21] = [
+    pub const ALL: [SolverKind; 20] = [
         SolverKind::Basic,
         SolverKind::Sorted,
         SolverKind::DoubleSorted,
@@ -332,7 +327,6 @@ impl SolverKind {
         SolverKind::Harvey,
         SolverKind::HopcroftKarpSemi,
         SolverKind::CostScaling,
-        SolverKind::MinCostFlow,
         SolverKind::Sgh,
         SolverKind::Vgh,
         SolverKind::Egh,
@@ -346,7 +340,7 @@ impl SolverKind {
     ];
 
     /// Solvers accepting bipartite (`SINGLEPROC`) problems.
-    pub const SINGLEPROC: [SolverKind; 13] = [
+    pub const SINGLEPROC: [SolverKind; 12] = [
         SolverKind::Basic,
         SolverKind::Sorted,
         SolverKind::DoubleSorted,
@@ -357,7 +351,6 @@ impl SolverKind {
         SolverKind::Harvey,
         SolverKind::HopcroftKarpSemi,
         SolverKind::CostScaling,
-        SolverKind::MinCostFlow,
         SolverKind::StreamingGreedy,
         SolverKind::BruteForce,
     ];
@@ -400,14 +393,13 @@ impl SolverKind {
         [SolverKind::Sgh, SolverKind::Vgh, SolverKind::Egh, SolverKind::Evg];
 
     /// The exact `SINGLEPROC-UNIT` algorithms.
-    pub const EXACT_SINGLEPROC: [SolverKind; 7] = [
+    pub const EXACT_SINGLEPROC: [SolverKind; 6] = [
         SolverKind::ExactIncremental,
         SolverKind::ExactBisection,
         SolverKind::ExactReplicated,
         SolverKind::Harvey,
         SolverKind::HopcroftKarpSemi,
         SolverKind::CostScaling,
-        SolverKind::MinCostFlow,
     ];
 
     /// Canonical registry name (stable; used by `from_str`, the CLI and
@@ -424,7 +416,6 @@ impl SolverKind {
             SolverKind::Harvey => "harvey",
             SolverKind::HopcroftKarpSemi => "hk-semi",
             SolverKind::CostScaling => "cost-scaling",
-            SolverKind::MinCostFlow => "mcf",
             SolverKind::Sgh => "sgh",
             SolverKind::Vgh => "vgh",
             SolverKind::Egh => "egh",
@@ -473,7 +464,6 @@ impl SolverKind {
             | SolverKind::StreamingGreedy
             | SolverKind::HopcroftKarpSemi
             | SolverKind::CostScaling
-            | SolverKind::MinCostFlow
             | SolverKind::BruteForce => "extension",
         }
     }
@@ -490,8 +480,7 @@ impl SolverKind {
             | SolverKind::ExactReplicated
             | SolverKind::Harvey
             | SolverKind::HopcroftKarpSemi
-            | SolverKind::CostScaling
-            | SolverKind::MinCostFlow => SolverClass::SingleProc,
+            | SolverKind::CostScaling => SolverClass::SingleProc,
             SolverKind::Sgh
             | SolverKind::Vgh
             | SolverKind::Egh
@@ -518,7 +507,6 @@ impl SolverKind {
                 | SolverKind::Harvey
                 | SolverKind::HopcroftKarpSemi
                 | SolverKind::CostScaling
-                | SolverKind::MinCostFlow
                 | SolverKind::BruteForce
         )
     }
@@ -536,7 +524,6 @@ impl SolverKind {
             SolverKind::Harvey => "exact, cost-reducing paths",
             SolverKind::HopcroftKarpSemi => "exact, generalized Hopcroft-Karp phases",
             SolverKind::CostScaling => "exact, load-range divide-and-conquer",
-            SolverKind::MinCostFlow => "exact, one min-cost flow (weighted total load too)",
             SolverKind::Sgh => "sorted-greedy-hyp (Alg. 4)",
             SolverKind::Vgh => "vector-greedy-hyp",
             SolverKind::Egh => "expected-greedy-hyp (Alg. 5)",
@@ -581,7 +568,12 @@ impl SolverKind {
     ///   [`SolverKind::Online`] and [`SolverKind::StreamingGreedy`])
     ///   select by **marginal objective cost** along their usual visit
     ///   order and tie-breaks (the current-load pair SGH/VGH and the
-    ///   expected-load pair EGH/EVG each collapse to one marginal rule);
+    ///   expected-load pair EGH/EVG each collapse to one marginal rule).
+    ///   [`Objective::WeightedLoad`] separates per task — its marginal is
+    ///   the edge weight itself — so [`SolverKind::Basic`],
+    ///   [`SolverKind::Sorted`] and [`SolverKind::DoubleSorted`], which
+    ///   pick each task's cheapest edge, are **exact** for it, weighted
+    ///   instances included;
     /// * the refined/ILS kinds run their base heuristic and local search
     ///   with objective-aware move acceptance;
     /// * the exact `SINGLEPROC-UNIT` kinds solve for the optimal makespan
@@ -642,9 +634,6 @@ impl SolverKind {
             }
             SolverKind::CostScaling => {
                 Ok(Solution::SingleProc(cost_scaling_in(self.bipartite(&problem)?, ws)?.solution))
-            }
-            SolverKind::MinCostFlow => {
-                Ok(Solution::SingleProc(mcf_in(self.bipartite(&problem)?, ws)?.solution))
             }
             SolverKind::Sgh => {
                 Ok(Solution::MultiProc(HyperHeuristic::Sgh.run(self.hypergraph(&problem)?)?))
@@ -751,12 +740,6 @@ impl SolverKind {
                 // symmetric convex objective as computed.
                 Ok(Solution::SingleProc(harvey_exact(self.bipartite(&problem)?)?))
             }
-            SolverKind::MinCostFlow => {
-                // The balanced flow is majorization-minimal as computed (no
-                // descent needed), and the weighted path handles total load.
-                let g = self.bipartite(&problem)?;
-                Ok(Solution::SingleProc(mcf_objective_in(g, objective, ws)?))
-            }
             SolverKind::Sgh | SolverKind::Vgh => Ok(Solution::MultiProc(objective_greedy_hyp(
                 self.hypergraph(&problem)?,
                 objective,
@@ -855,7 +838,6 @@ impl FromStr for SolverKind {
             "replicated" => Ok(SolverKind::ExactReplicated),
             "hopcroft-karp-semi" | "katrenic" => Ok(SolverKind::HopcroftKarpSemi),
             "fln" | "load-range" => Ok(SolverKind::CostScaling),
-            "min-cost-flow" | "mincostflow" => Ok(SolverKind::MinCostFlow),
             "evg+refine" => Ok(SolverKind::EvgRefined),
             "sgh+refine" => Ok(SolverKind::SghRefined),
             "sgh+ils" => Ok(SolverKind::SghIls),
@@ -1100,7 +1082,6 @@ mod tests {
                 | SolverKind::Harvey
                 | SolverKind::HopcroftKarpSemi
                 | SolverKind::CostScaling
-                | SolverKind::MinCostFlow
                 | SolverKind::Sgh
                 | SolverKind::Vgh
                 | SolverKind::Egh
@@ -1238,7 +1219,6 @@ mod tests {
     fn aliases_resolve() {
         assert_eq!("bisection".parse::<SolverKind>().unwrap(), SolverKind::ExactBisection);
         assert_eq!("EVG+refine".parse::<SolverKind>().unwrap(), SolverKind::EvgRefined);
-        assert_eq!("min-cost-flow".parse::<SolverKind>().unwrap(), SolverKind::MinCostFlow);
     }
 
     #[test]
@@ -1248,7 +1228,7 @@ mod tests {
         // kind (seed-consuming or not), under every reported objective.
         let g = bipartite();
         let problem = Problem::SingleProc(&g);
-        for kind in [SolverKind::CostScaling, SolverKind::MinCostFlow, SolverKind::Sorted] {
+        for kind in [SolverKind::CostScaling, SolverKind::HopcroftKarpSemi, SolverKind::Sorted] {
             let mut s = kind.solver();
             let mut prev: Option<Solution> = None;
             for obj in Objective::REPORTED {

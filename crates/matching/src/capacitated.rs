@@ -146,84 +146,24 @@ fn solve_flow(
     Assignment { task_to_proc, loads }
 }
 
-/// Warm capacity-probe session state: which subinstance build the resident
-/// flow network reflects, the capacity its sink arcs currently carry, the
-/// flow value it holds, and an optional checkpoint to roll back to.
-///
-/// The FLN-style exact search probes a sequence of uniform capacities
-/// against the same (sub)instance. A cold probe rebuilds and re-solves the
-/// whole network (`O(m·√n)` each); a warm session keeps one resident
-/// network **per monotone probe direction** — the *raising* direction. A
-/// probe above the session's capacity widens the sink arcs in place and
-/// augments only the delta along short residual paths; a probe below it
-/// would have to cancel a near-maximum flow and re-augment through long
-/// residual paths (many full-graph BFS phases — measurably worse than the
-/// rebuild), so the session never lowers: callers
-/// [checkpoint](probe_checkpoint) before a speculative raise and
-/// [roll back](probe_rollback) to keep the session anchored at the highest
-/// *infeasible* capacity, and a probe that still lands below the anchor
-/// rebuilds. The state is a plain value so parallel probe slots can move
-/// it through a work-stealing pool together with their workspace.
-#[derive(Clone, Debug, Default)]
-pub struct ProbeState {
-    /// Subinstance epoch the resident network was built for; `None` until
-    /// the first build.
-    epoch: Option<u64>,
-    /// Flow value (assigned active tasks) currently routed.
-    value: u64,
-    /// Uniform capacity the resident network's sink arcs currently carry.
-    cap: u32,
-    /// Checkpointed residual state ([`probe_checkpoint`]).
-    saved: Vec<u64>,
-    /// Flow value at the checkpoint.
-    saved_value: u64,
-    /// Sink capacity at the checkpoint.
-    saved_cap: u32,
-}
-
-impl ProbeState {
-    /// Whether the resident network reflects subinstance build `epoch`
-    /// (the next [`warm_probe_in`] at a capacity at or above the session's
-    /// will edit it in place rather than rebuild).
-    pub fn is_warm(&self, epoch: u64) -> bool {
-        self.epoch == Some(epoch)
-    }
-
-    /// The uniform sink capacity the resident network currently carries.
-    pub fn capacity(&self) -> u32 {
-        self.cap
-    }
-}
-
 /// One uniform-capacity feasibility probe over the active subinstance
-/// `(tasks, procs)`, warm-started from whatever the resident network in
-/// `ws` holds. Returns the maximum number of active tasks assignable with
-/// every active processor serving at most `capacity` tasks.
+/// `(tasks, procs)`, built fresh in `ws`'s flow arena. Returns the maximum
+/// number of active tasks assignable with every active processor serving
+/// at most `capacity` tasks.
 ///
 /// * `tasks` / `procs` — original vertex ids of the active subinstance.
 /// * `proc_pos[u]` — position of original processor `u` in `procs`, or
 ///   [`NONE`] when `u` is inactive (edges to inactive processors are
 ///   excluded from the network).
-/// * `epoch` — identity of the subinstance build. When it matches the one
-///   recorded in `st` **and** `capacity` is at or above the session's, the
-///   network is kept: the sink arcs are raised in place and only the delta
-///   is augmented. Otherwise (new build, or a probe below the session —
-///   the expensive direction, see [`ProbeState`]) the arena is rebuilt
-///   from scratch.
 ///
-/// Processor→sink arcs are materialized for *every* active processor (the
-/// cold path elides zero-capacity arcs; a warm session cannot, since a
-/// later probe may raise them). Call [`extract_probe_in`] afterwards to
-/// read the assignment out of the resident network.
-#[allow(clippy::too_many_arguments)]
-pub fn warm_probe_in(
+/// Call [`extract_probe_in`] afterwards to read the assignment out of the
+/// network.
+pub fn probe_in(
     g: &Bipartite,
     tasks: &[u32],
     procs: &[u32],
     proc_pos: &[u32],
-    epoch: u64,
     capacity: u32,
-    st: &mut ProbeState,
     ws: &mut SearchWorkspace,
 ) -> u64 {
     let nt = tasks.len() as u32;
@@ -232,67 +172,26 @@ pub fn warm_probe_in(
     let task_base = 1u32;
     let proc_base = 1 + nt;
     let sink = 1 + nt + np;
-    if st.epoch != Some(epoch) || capacity < st.cap {
-        // Cold build of the subinstance view (also the escape hatch for a
-        // probe below the session capacity: cancelling a routed flow
-        // re-augments through long residual paths and costs more than the
-        // rebuild).
-        let (net, edge_arcs, proc_arcs) = ws.probe_arena(sink as usize + 1);
-        for i in 0..nt {
-            net.add_arc(source, task_base + i, 1);
-        }
-        for (i, &v) in tasks.iter().enumerate() {
-            for &u in g.neighbors(v) {
-                if proc_pos[u as usize] == NONE {
-                    continue;
-                }
-                edge_arcs.push(net.add_arc(
-                    task_base + i as u32,
-                    proc_base + proc_pos[u as usize],
-                    1,
-                ));
+    let (net, edge_arcs) = ws.flow_arena(sink as usize + 1);
+    for i in 0..nt {
+        net.add_arc(source, task_base + i, 1);
+    }
+    for (i, &v) in tasks.iter().enumerate() {
+        for &u in g.neighbors(v) {
+            if proc_pos[u as usize] == NONE {
+                continue;
             }
+            edge_arcs.push(net.add_arc(task_base + i as u32, proc_base + proc_pos[u as usize], 1));
         }
-        for j in 0..np {
-            proc_arcs.push(net.add_arc(proc_base + j, sink, capacity as u64));
-        }
-        st.epoch = Some(epoch);
-        st.cap = capacity;
-        st.value = net.max_flow(source, sink);
-        return st.value;
     }
-    // Warm path: raise the sink capacities in place and augment the delta.
-    // From an anchor that was *infeasible* the new headroom sits one hop
-    // from the sink, so the augmenting paths are short.
-    for j in 0..np as usize {
-        ws.flow.raise_capacity(ws.proc_arcs[j], capacity as u64);
+    for j in 0..np {
+        net.add_arc(proc_base + j, sink, capacity as u64);
     }
-    st.cap = capacity;
-    st.value += ws.flow.max_flow(source, sink);
-    st.value
+    net.max_flow(source, sink)
 }
 
-/// Checkpoints the resident probe session (`O(arcs)` copy of the residual
-/// state): call before a speculative [`warm_probe_in`] raise, and
-/// [`probe_rollback`] to return to the anchor if the probe came back
-/// feasible. See [`ProbeState`] for why the session only moves up.
-pub fn probe_checkpoint(st: &mut ProbeState, ws: &SearchWorkspace) {
-    ws.flow.save_flow(&mut st.saved);
-    st.saved_value = st.value;
-    st.saved_cap = st.cap;
-}
-
-/// Rolls the resident probe session back to the last
-/// [`probe_checkpoint`]. The subinstance build must be unchanged since the
-/// checkpoint (same epoch — the arc set is identical).
-pub fn probe_rollback(st: &mut ProbeState, ws: &mut SearchWorkspace) {
-    ws.flow.restore_flow(&st.saved);
-    st.value = st.saved_value;
-    st.cap = st.saved_cap;
-}
-
-/// Reads the assignment of the last [`warm_probe_in`] out of the resident
-/// network, writing original processor ids (or [`NONE`]) into
+/// Reads the assignment of the last [`probe_in`] out of the flow arena,
+/// writing original processor ids (or [`NONE`]) into
 /// `out[original task id]` for every active task. Inactive tasks are left
 /// untouched.
 pub fn extract_probe_in(
@@ -315,94 +214,6 @@ pub fn extract_probe_in(
             k += 1;
         }
     }
-}
-
-/// Complete assignment minimizing the *balanced* convex cost
-/// `Σ_u l(u)·(l(u)+1)/2` (the unit flow-time), via one min-cost max-flow
-/// with convex unit-arc bundles: processor `u` offers `min(deg(u), n)`
-/// sink arcs with marginals `1, 2, 3, …`, so the `k`-th task on a
-/// processor costs `k`. A balanced (majorization-minimal) assignment is
-/// simultaneously optimal for every symmetric convex objective *and* the
-/// makespan (Harvey et al.), which is what makes this the one-shot exact
-/// backend for unit instances.
-///
-/// Tasks that cannot be assigned (isolated vertices) stay [`NONE`]; the
-/// routed flow is maximum, so the assignment is complete whenever the
-/// instance is coverable.
-pub fn balanced_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Assignment {
-    let n1 = g.n_left();
-    min_cost_flow_assignment(g, ws, |_| 0, |u| SinkShape::Convex(g.deg_right(u).min(n1)))
-}
-
-/// Complete assignment minimizing the total *weighted* load
-/// `Σ_t w(t, proc(t))` — the exact optimum of
-/// `Objective::WeightedLoad` on weighted instances — via one min-cost
-/// max-flow with linear edge costs and uncapacitated sinks.
-pub fn min_weight_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Assignment {
-    let n1 = g.n_left();
-    min_cost_flow_assignment(g, ws, |e| g.weight(e) as i128, |_| SinkShape::Free(n1 as u64))
-}
-
-/// Sink-arc shape for [`min_cost_flow_assignment`].
-enum SinkShape {
-    /// `k` unit arcs with marginals `1, 2, …, k`.
-    Convex(u32),
-    /// One free arc of the given capacity.
-    Free(u64),
-}
-
-/// Shared min-cost formulation: unit source and edge arcs (edge cost from
-/// `edge_cost` by edge id), sink arcs shaped per processor by `sink_of`.
-fn min_cost_flow_assignment(
-    g: &Bipartite,
-    ws: &mut SearchWorkspace,
-    edge_cost: impl Fn(u32) -> i128,
-    sink_of: impl Fn(u32) -> SinkShape,
-) -> Assignment {
-    let n1 = g.n_left();
-    let n2 = g.n_right();
-    let source = 0u32;
-    let task_base = 1u32;
-    let proc_base = 1 + n1;
-    let sink = 1 + n1 + n2;
-    let (net, edge_arcs) = ws.flow_arena(sink as usize + 1);
-
-    for v in 0..n1 {
-        net.add_arc(source, task_base + v, 1);
-    }
-    for v in 0..n1 {
-        for e in g.edge_range(v) {
-            let u = g.edge_right(e);
-            edge_arcs.push(net.add_arc_with_cost(task_base + v, proc_base + u, 1, edge_cost(e)));
-        }
-    }
-    for u in 0..n2 {
-        match sink_of(u) {
-            SinkShape::Convex(units) => {
-                for k in 1..=units as i128 {
-                    net.add_arc_with_cost(proc_base + u, sink, 1, k);
-                }
-            }
-            SinkShape::Free(cap) => {
-                net.add_arc(proc_base + u, sink, cap);
-            }
-        }
-    }
-    net.min_cost_max_flow(source, sink);
-
-    let mut task_to_proc = vec![NONE; n1 as usize];
-    let mut loads = vec![0u32; n2 as usize];
-    let mut k = 0usize;
-    for v in 0..n1 {
-        for &u in g.neighbors(v) {
-            if net.flow(edge_arcs[k]) > 0 {
-                task_to_proc[v as usize] = u;
-                loads[u as usize] += 1;
-            }
-            k += 1;
-        }
-    }
-    Assignment { task_to_proc, loads }
 }
 
 /// True when all tasks fit under the uniform `capacity` (i.e. `G_D` with
@@ -482,7 +293,7 @@ mod tests {
     #[test]
     fn warm_probes_agree_with_cold_solves() {
         // 6 tasks over 3 procs, mixed degrees; sweep capacities up and down
-        // through one warm session and cross-check every answer cold.
+        // through one resident workspace and cross-check every answer cold.
         let g = Bipartite::from_edges(
             6,
             3,
@@ -492,11 +303,10 @@ mod tests {
         let tasks: Vec<u32> = (0..6).collect();
         let procs: Vec<u32> = (0..3).collect();
         let proc_pos: Vec<u32> = (0..3).collect();
-        let mut st = ProbeState::default();
         let mut ws = SearchWorkspace::new();
         let mut cold_ws = SearchWorkspace::new();
         for cap in [1u32, 3, 2, 1, 4, 2] {
-            let warm = warm_probe_in(&g, &tasks, &procs, &proc_pos, 7, cap, &mut st, &mut ws);
+            let warm = probe_in(&g, &tasks, &procs, &proc_pos, cap, &mut ws);
             let cold = max_assignment_in(&g, cap, &mut cold_ws).cardinality() as u64;
             assert_eq!(warm, cold, "capacity {cap}");
             // The extracted assignment is consistent with the probe value.
@@ -515,63 +325,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_probe_rebuilds_on_epoch_change() {
+    fn probe_covers_only_the_active_view() {
         let g = Bipartite::from_edges(4, 2, &[(0, 0), (1, 0), (2, 1), (3, 1), (3, 0)]).unwrap();
-        let mut st = ProbeState::default();
         let mut ws = SearchWorkspace::new();
         let all: Vec<u32> = (0..4).collect();
-        let full = warm_probe_in(&g, &all, &[0, 1], &[0, 1], 0, 2, &mut st, &mut ws);
-        assert_eq!(full, 4);
-        // Shrink to the subinstance {tasks 2,3} × {proc 1}: epoch bump
-        // forces a rebuild over the active view only.
-        let sub = warm_probe_in(&g, &[2, 3], &[1], &[NONE, 0], 1, 1, &mut st, &mut ws);
+        assert_eq!(probe_in(&g, &all, &[0, 1], &[0, 1], 2, &mut ws), 4);
+        // The subinstance {tasks 2,3} × {proc 1}: edges to the inactive
+        // proc 0 are left out of the network.
+        let sub = probe_in(&g, &[2, 3], &[1], &[NONE, 0], 1, &mut ws);
         assert_eq!(sub, 1, "proc 1 alone serves one of the two tasks at cap 1");
         let mut out = vec![NONE; 4];
         extract_probe_in(&g, &[2, 3], &[NONE, 0], &mut out, &ws);
         assert_eq!(out[..2], [NONE, NONE], "inactive tasks untouched");
         assert_eq!(out[2..].iter().filter(|&&p| p == 1).count(), 1);
-    }
-
-    #[test]
-    fn warm_probe_materializes_every_sink_arc() {
-        // A processor with no capacity headroom at the first probe must
-        // still be raisable later — the regression the warm session guards.
-        let g = Bipartite::from_edges(2, 1, &[(0, 0), (1, 0)]).unwrap();
-        let mut st = ProbeState::default();
-        let mut ws = SearchWorkspace::new();
-        assert_eq!(warm_probe_in(&g, &[0, 1], &[0], &[0], 0, 1, &mut st, &mut ws), 1);
-        assert_eq!(warm_probe_in(&g, &[0, 1], &[0], &[0], 0, 2, &mut st, &mut ws), 2);
-    }
-
-    #[test]
-    fn balanced_assignment_is_majorization_minimal() {
-        // 4 tasks, 2 procs, everything eligible: the balanced optimum is
-        // 2/2, never 3/1.
-        let g = Bipartite::from_edges(
-            4,
-            2,
-            &[(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)],
-        )
-        .unwrap();
-        let a = balanced_assignment_in(&g, &mut SearchWorkspace::new());
-        assert!(a.is_complete());
-        assert_eq!(a.loads, vec![2, 2]);
-    }
-
-    #[test]
-    fn min_weight_assignment_takes_cheap_edges() {
-        // Both tasks prefer P0 by weight; sinks are uncapacitated so both
-        // land there.
-        let g = Bipartite::from_weighted_edges(
-            2,
-            2,
-            &[(0, 0), (0, 1), (1, 0), (1, 1)],
-            &[1, 10, 2, 10],
-        )
-        .unwrap();
-        let a = min_weight_assignment_in(&g, &mut SearchWorkspace::new());
-        assert!(a.is_complete());
-        assert_eq!(a.task_to_proc, vec![0, 0]);
     }
 
     #[test]

@@ -14,22 +14,6 @@
 //! [`clear`](FlowNetwork::clear)ed and refilled — the
 //! [`crate::SearchWorkspace`] arena pattern — performs repeated max-flows
 //! with no per-call allocation once warm.
-//!
-//! Two extensions serve the fast-exact frontier:
-//!
-//! * **Capacity surgery** ([`set_capacity`](FlowNetwork::set_capacity),
-//!   [`raise_capacity`](FlowNetwork::raise_capacity),
-//!   [`lower_capacity`](FlowNetwork::lower_capacity)) edits an arc's total
-//!   capacity *in place*, repairing the residual state when flow must be
-//!   cancelled — the warm-started capacity probes of the FLN bisection keep
-//!   one resident network and only augment the delta between probes.
-//! * **A min-cost layer** ([`add_arc_with_cost`](FlowNetwork::add_arc_with_cost),
-//!   [`min_cost_max_flow`](FlowNetwork::min_cost_max_flow)) runs successive
-//!   shortest augmenting paths with Johnson potentials over the same arc
-//!   arrays — all-integer reduced costs, no floats.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use semimatch_obs as obs;
 
@@ -43,10 +27,6 @@ pub struct FlowNetwork {
     head: Vec<u32>,
     /// Residual capacity of each arc.
     cap: Vec<u64>,
-    /// Per-arc cost, filled lazily: empty (or short) while only
-    /// [`add_arc`](Self::add_arc) has been used, so pure max-flow networks
-    /// pay nothing. Twin arcs carry the negated cost.
-    cost: Vec<i128>,
     /// CSR offsets: the arcs leaving vertex `v` are
     /// `arc_order[arc_start[v] .. arc_start[v + 1]]`. Rebuilt lazily.
     arc_start: Vec<u32>,
@@ -54,13 +34,8 @@ pub struct FlowNetwork {
     arc_order: Vec<u32>,
     /// Whether `arc_start`/`arc_order` reflect the current arc set.
     csr_valid: bool,
-    /// `(source, sink)` of the last solve. Cancellation walks stop at these
-    /// outright: by conservation the source holds no incoming and the sink
-    /// no outgoing flow, so scanning their (often huge) arc lists is waste.
-    terminals: Option<(u32, u32)>,
-    /// Augmenting paths pushed since construction (Dinic DFS augments and
-    /// min-cost shortest-path augments alike). Monotone — never reset by
-    /// [`clear`](Self::clear) — so callers meter a region by
+    /// Augmenting paths pushed since construction. Monotone — never reset
+    /// by [`clear`](Self::clear) — so callers meter a region by
     /// snapshot-and-subtract.
     augmentations: u64,
     // ---- Dinic scratch, resident so warm solves allocate nothing ----
@@ -72,15 +47,6 @@ pub struct FlowNetwork {
     queue: Vec<u32>,
     /// Arcs on the current DFS path.
     path: Vec<u32>,
-    // ---- Min-cost scratch (successive shortest paths) ----
-    /// Johnson potentials.
-    pot: Vec<i128>,
-    /// Dijkstra distances over reduced costs.
-    dist: Vec<u128>,
-    /// Arc that reached each vertex on the current shortest-path tree.
-    parent: Vec<u32>,
-    /// Dijkstra frontier (lazy-deletion binary heap).
-    heap: BinaryHeap<Reverse<(u128, u32)>>,
 }
 
 impl FlowNetwork {
@@ -97,9 +63,7 @@ impl FlowNetwork {
         self.n = n;
         self.head.clear();
         self.cap.clear();
-        self.cost.clear();
         self.csr_valid = false;
-        self.terminals = None;
     }
 
     /// Pre-sizes the arc arrays, the CSR index and the Dinic scratch for a
@@ -149,168 +113,11 @@ impl FlowNetwork {
         self.cap[id as usize]
     }
 
-    /// Total capacity of arc `id` (residual plus routed flow).
-    pub fn capacity(&self, id: u32) -> u64 {
-        self.cap[id as usize] + self.cap[id as usize ^ 1]
-    }
-
     /// Augmenting paths pushed since construction, across
-    /// [`max_flow`](Self::max_flow) and
-    /// [`min_cost_max_flow`](Self::min_cost_max_flow) calls alike. Monotone
-    /// (never reset by [`clear`](Self::clear)): meter a region by
-    /// snapshot-and-subtract.
+    /// [`max_flow`](Self::max_flow) calls. Monotone (never reset by
+    /// [`clear`](Self::clear)): meter a region by snapshot-and-subtract.
     pub fn augmentations(&self) -> u64 {
         self.augmentations
-    }
-
-    /// Adds a directed arc `from → to` with the given capacity and cost,
-    /// returning its arc id. The residual twin carries the negated cost, so
-    /// cancelling flow refunds it. Costs must be non-negative:
-    /// [`min_cost_max_flow`](Self::min_cost_max_flow) starts its Johnson
-    /// potentials at zero.
-    pub fn add_arc_with_cost(&mut self, from: u32, to: u32, capacity: u64, cost: i128) -> u32 {
-        debug_assert!(cost >= 0, "initial arc costs must be non-negative");
-        let id = self.add_arc(from, to, capacity);
-        if cost != 0 {
-            // Backfill zero costs for any plain `add_arc` arcs before us.
-            self.cost.resize(id as usize, 0);
-            self.cost.push(cost);
-            self.cost.push(-cost);
-        }
-        id
-    }
-
-    /// Cost of arc `id` (zero for arcs added via [`add_arc`](Self::add_arc)).
-    #[inline]
-    fn arc_cost(&self, id: u32) -> i128 {
-        self.cost.get(id as usize).copied().unwrap_or(0)
-    }
-
-    /// Rewrites the **total** capacity of arc `id` in place, repairing the
-    /// residual state so the network stays consistent for the next solve —
-    /// the warm-probe primitive. Raising capacity only widens the residual;
-    /// lowering below the routed flow cancels the excess in one batched
-    /// walk per endpoint, following incoming flow back to the source and
-    /// outgoing flow forward to the sink. Returns the number of flow units
-    /// cancelled.
-    ///
-    /// The repair walks terminate at the (unique) net-excess endpoints, so
-    /// they require the routed flow to be cycle-free — true for any flow
-    /// found by augmenting-path solvers on a DAG, such as the
-    /// source → task → processor → sink networks of
-    /// [`crate::capacitated`].
-    pub fn set_capacity(&mut self, id: u32, new_cap: u64) -> u64 {
-        debug_assert_eq!(id % 2, 0, "capacity surgery targets forward arcs");
-        let a = id as usize;
-        let routed = self.cap[a ^ 1];
-        if new_cap >= routed {
-            // No flow touched: just widen or narrow the slack.
-            self.cap[a] = new_cap - routed;
-            return 0;
-        }
-        if !self.csr_valid {
-            self.build_csr();
-        }
-        // Undo the excess on the arc itself, then repair conservation at
-        // both endpoints.
-        let excess = routed - new_cap;
-        if obs::enabled() {
-            obs::counter_add("flow.cancellation_batches", 1);
-            obs::observe("flow.cancel_batch_units", excess);
-        }
-        self.cap[a ^ 1] -= excess;
-        self.cancel_units_upstream(self.head[a ^ 1], excess);
-        self.cancel_units_downstream(self.head[a], excess);
-        // Routed flow is now exactly `new_cap`: no residual slack remains.
-        self.cap[a] = 0;
-        excess
-    }
-
-    /// [`set_capacity`](Self::set_capacity) restricted to widening: keeps
-    /// the existing flow intact and only exposes more residual headroom.
-    pub fn raise_capacity(&mut self, id: u32, new_cap: u64) {
-        debug_assert!(new_cap >= self.capacity(id), "raise_capacity must not shrink");
-        let cancelled = self.set_capacity(id, new_cap);
-        debug_assert_eq!(cancelled, 0);
-    }
-
-    /// [`set_capacity`](Self::set_capacity) restricted to narrowing: repairs
-    /// the residual state and returns the flow units cancelled.
-    pub fn lower_capacity(&mut self, id: u32, new_cap: u64) -> u64 {
-        debug_assert!(new_cap <= self.capacity(id), "lower_capacity must not widen");
-        self.set_capacity(id, new_cap)
-    }
-
-    /// Copies the entire residual state (per-arc capacities, i.e. the
-    /// routed flow **and** every arc's slack) into `out`. Together with
-    /// [`restore_flow`](Self::restore_flow) this checkpoints a solve: a
-    /// warm probe session snapshots before a speculative capacity raise and
-    /// rolls back when it wants to keep its anchor instead — one `O(arcs)`
-    /// memcpy, against the many long-path re-augmentation phases that
-    /// cancelling a near-maximum flow would cost.
-    pub fn save_flow(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.cap);
-    }
-
-    /// Restores residual state saved by [`save_flow`](Self::save_flow).
-    /// The arc set must be unchanged since the save (same arcs in the same
-    /// order); the CSR index and scratch are untouched.
-    pub fn restore_flow(&mut self, saved: &[u64]) {
-        assert_eq!(saved.len(), self.cap.len(), "snapshot is from a different arc set");
-        self.cap.copy_from_slice(saved);
-    }
-
-    /// Cancels `count` units of flow *entering* `v`, recursing upstream
-    /// along incoming flow until the walk reaches a vertex with none (the
-    /// source, by conservation). Odd arcs leaving `v` with residual
-    /// capacity are exactly the twins of flow-carrying arcs into `v`. The
-    /// whole batch shares one scan of each visited arc list, and the walk
-    /// stops at the recorded source outright — a hot proc→sink lowering in
-    /// a warm probe session would otherwise rescan the source's `n`-arc
-    /// list once per cancelled unit. Recursion depth is bounded by the
-    /// longest flow-carrying path (the flow is cycle-free, see
-    /// [`set_capacity`](Self::set_capacity)).
-    fn cancel_units_upstream(&mut self, v: u32, mut count: u64) {
-        if self.terminals.is_some_and(|(s, _)| s == v) {
-            return;
-        }
-        for k in self.arcs_of(v) {
-            if count == 0 {
-                return;
-            }
-            let t = self.arc_order[k] as usize;
-            if t % 2 == 1 && self.cap[t] > 0 {
-                let take = self.cap[t].min(count);
-                self.cap[t] -= take;
-                self.cap[t ^ 1] += take;
-                count -= take;
-                self.cancel_units_upstream(self.head[t], take);
-            }
-        }
-    }
-
-    /// Cancels `count` units of flow *leaving* `v`, recursing downstream
-    /// along outgoing flow until the walk reaches a vertex with none (the
-    /// sink). Mirror of
-    /// [`cancel_units_upstream`](Self::cancel_units_upstream).
-    fn cancel_units_downstream(&mut self, v: u32, mut count: u64) {
-        if self.terminals.is_some_and(|(_, t)| t == v) {
-            return;
-        }
-        for k in self.arcs_of(v) {
-            if count == 0 {
-                return;
-            }
-            let t = self.arc_order[k] as usize;
-            if t.is_multiple_of(2) && self.cap[t ^ 1] > 0 {
-                let take = self.cap[t ^ 1].min(count);
-                self.cap[t ^ 1] -= take;
-                self.cap[t] += take;
-                count -= take;
-                self.cancel_units_downstream(self.head[t], take);
-            }
-        }
     }
 
     /// Rebuilds the CSR arc index by counting sort over arc tails.
@@ -356,7 +163,6 @@ impl FlowNetwork {
     /// network of the same shape this performs no allocation.
     pub fn max_flow(&mut self, source: u32, sink: u32) -> u64 {
         assert_ne!(source, sink, "source and sink must differ");
-        self.terminals = Some((source, sink));
         if !self.csr_valid {
             self.build_csr();
         }
@@ -451,95 +257,6 @@ impl FlowNetwork {
                 self.iter_ptr[prev as usize] += 1;
                 v = prev;
             }
-        }
-    }
-
-    /// Computes a maximum `source → sink` flow of minimum total cost by
-    /// successive shortest augmenting paths with Johnson potentials.
-    /// Returns `(flow, cost)`.
-    ///
-    /// All arithmetic is integral: Dijkstra runs over the reduced costs
-    /// `cost(a) + pot(tail) − pot(head)`, which the potential update keeps
-    /// non-negative, so there is no float fallback anywhere. Requires every
-    /// initial arc cost to be non-negative (potentials start at zero —
-    /// enforced by [`add_arc_with_cost`](Self::add_arc_with_cost)). The
-    /// scratch (potentials, distances, parent arcs, heap) is resident:
-    /// warm repeated solves allocate nothing. Ties in the Dijkstra heap
-    /// break on vertex id, so the routed flow is deterministic.
-    pub fn min_cost_max_flow(&mut self, source: u32, sink: u32) -> (u64, i128) {
-        assert_ne!(source, sink, "source and sink must differ");
-        self.terminals = Some((source, sink));
-        if !self.csr_valid {
-            self.build_csr();
-        }
-        let n = self.n;
-        self.pot.clear();
-        self.pot.resize(n, 0);
-        self.dist.resize(n, u128::MAX);
-        self.parent.resize(n, u32::MAX);
-        let mut total_flow = 0u64;
-        let mut total_cost = 0i128;
-        let augs_before = self.augmentations;
-        let mut dijkstra_rounds = 0u64;
-        loop {
-            dijkstra_rounds += 1;
-            // Dijkstra over reduced costs, lazy-deletion heap.
-            self.dist.iter_mut().for_each(|d| *d = u128::MAX);
-            self.dist[source as usize] = 0;
-            self.heap.clear();
-            self.heap.push(Reverse((0, source)));
-            while let Some(Reverse((d, v))) = self.heap.pop() {
-                if d > self.dist[v as usize] {
-                    continue; // stale entry
-                }
-                for k in self.arcs_of(v) {
-                    let a = self.arc_order[k];
-                    if self.cap[a as usize] == 0 {
-                        continue;
-                    }
-                    let to = self.head[a as usize];
-                    let rc = self.arc_cost(a) + self.pot[v as usize] - self.pot[to as usize];
-                    debug_assert!(rc >= 0, "reduced costs stay non-negative");
-                    let nd = d + rc as u128;
-                    if nd < self.dist[to as usize] {
-                        self.dist[to as usize] = nd;
-                        self.parent[to as usize] = a;
-                        self.heap.push(Reverse((nd, to)));
-                    }
-                }
-            }
-            let d_sink = self.dist[sink as usize];
-            if d_sink == u128::MAX {
-                if obs::enabled() {
-                    obs::counter_add("mcf.dijkstra_rounds", dijkstra_rounds);
-                    obs::counter_add("mcf.potentials_resets", 1);
-                    obs::counter_add("flow.augmentations", self.augmentations - augs_before);
-                }
-                return (total_flow, total_cost);
-            }
-            // Potential update keeps every residual reduced cost ≥ 0, with
-            // unreached vertices clamped to the sink distance.
-            for v in 0..n {
-                self.pot[v] += self.dist[v].min(d_sink) as i128;
-            }
-            // Bottleneck along the shortest-path tree, then augment.
-            let mut bottleneck = u64::MAX;
-            let mut v = sink;
-            while v != source {
-                let a = self.parent[v as usize];
-                bottleneck = bottleneck.min(self.cap[a as usize]);
-                v = self.head[a as usize ^ 1];
-            }
-            let mut v = sink;
-            while v != source {
-                let a = self.parent[v as usize];
-                self.cap[a as usize] -= bottleneck;
-                self.cap[a as usize ^ 1] += bottleneck;
-                total_cost += self.arc_cost(a) * bottleneck as i128;
-                v = self.head[a as usize ^ 1];
-            }
-            total_flow += bottleneck;
-            self.augmentations += 1;
         }
     }
 }
@@ -660,113 +377,6 @@ mod tests {
         net.add_arc(0, 2, 5);
         net.add_arc(2, 3, 4);
         assert_eq!(net.max_flow(0, 3), 4);
-    }
-
-    /// A tiny capacitated-assignment network: s=0, tasks 1..=3, procs 4..=5,
-    /// t=6, every task compatible with every proc. Returns the sink arcs.
-    fn probe_net(cap_a: u64, cap_b: u64) -> (FlowNetwork, u32, u32) {
-        let mut net = FlowNetwork::new(7);
-        for v in 1..=3 {
-            net.add_arc(0, v, 1);
-            net.add_arc(v, 4, 1);
-            net.add_arc(v, 5, 1);
-        }
-        let sa = net.add_arc(4, 6, cap_a);
-        let sb = net.add_arc(5, 6, cap_b);
-        (net, sa, sb)
-    }
-
-    #[test]
-    fn raise_capacity_warm_starts_the_next_solve() {
-        let (mut net, sa, sb) = probe_net(1, 1);
-        assert_eq!(net.max_flow(0, 6), 2);
-        let before = net.augmentations();
-        net.raise_capacity(sa, 2);
-        net.raise_capacity(sb, 2);
-        // Only the one missing unit is augmented; the old flow persists.
-        assert_eq!(net.max_flow(0, 6), 1);
-        assert_eq!(net.augmentations() - before, 1);
-        assert_eq!(net.flow(sa) + net.flow(sb), 3);
-    }
-
-    #[test]
-    fn lower_capacity_cancels_excess_flow() {
-        let (mut net, sa, sb) = probe_net(3, 3);
-        assert_eq!(net.max_flow(0, 6), 3);
-        let excess = net.flow(sa).saturating_sub(1);
-        assert_eq!(net.lower_capacity(sa, 1), excess);
-        assert_eq!(net.flow(sa), 1);
-        // The repaired network is consistent: re-solving routes the
-        // cancelled units through the other processor.
-        assert_eq!(net.max_flow(0, 6), excess);
-        assert_eq!(net.flow(sa), 1);
-        assert_eq!(net.flow(sb), 2);
-        // Source arcs all saturated again.
-        assert_eq!((0..3).map(|k| net.flow(6 * k)).sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn set_capacity_round_trips() {
-        let (mut net, sa, _sb) = probe_net(2, 0);
-        assert_eq!(net.max_flow(0, 6), 2);
-        assert_eq!(net.set_capacity(sa, 0), 2, "all routed flow cancelled");
-        assert_eq!(net.flow(sa), 0);
-        assert_eq!(net.capacity(sa), 0);
-        net.set_capacity(sa, 2);
-        assert_eq!(net.capacity(sa), 2);
-        assert_eq!(net.max_flow(0, 6), 2, "repair leaves the network solvable");
-    }
-
-    #[test]
-    fn min_cost_picks_the_cheap_route() {
-        // Two parallel s→t routes with costs 1 and 5; both must fill for
-        // maximality, and the total cost is exact.
-        let mut net = FlowNetwork::new(4);
-        net.add_arc_with_cost(0, 1, 2, 0);
-        net.add_arc_with_cost(0, 2, 2, 0);
-        let c1 = net.add_arc_with_cost(1, 3, 2, 1);
-        let c2 = net.add_arc_with_cost(2, 3, 2, 5);
-        let (f, c) = net.min_cost_max_flow(0, 3);
-        assert_eq!(f, 4);
-        assert_eq!(c, 12, "2 units at cost 1 + 2 units at cost 5");
-        assert_eq!(net.flow(c1), 2);
-        assert_eq!(net.flow(c2), 2);
-    }
-
-    #[test]
-    fn min_cost_needs_residual_rerouting() {
-        // The classic case where the cheapest augmenting path must undo a
-        // previous routing decision through a negative-reduced-cost twin.
-        let mut net = FlowNetwork::new(4);
-        net.add_arc_with_cost(0, 1, 1, 1);
-        net.add_arc_with_cost(0, 2, 1, 4);
-        net.add_arc_with_cost(1, 2, 1, 1);
-        net.add_arc_with_cost(1, 3, 1, 6);
-        net.add_arc_with_cost(2, 3, 2, 1);
-        let (f, c) = net.min_cost_max_flow(0, 3);
-        assert_eq!(f, 2);
-        // Optimal: 0→1→2→3 (cost 3) + 0→2→3 (cost 5) = 8, beating any
-        // routing that uses the cost-6 arc.
-        assert_eq!(c, 8);
-    }
-
-    #[test]
-    fn convex_bundle_spreads_load() {
-        // 4 units into two procs, each offering unit sink arcs with
-        // marginals 1, 3, 5 (convex): the optimum splits 2 / 2.
-        let mut net = FlowNetwork::new(5);
-        net.add_arc(0, 1, 4);
-        for proc in [2u32, 3] {
-            net.add_arc(1, proc, 4);
-            for marginal in [1i128, 3, 5] {
-                net.add_arc_with_cost(proc, 4, 1, marginal);
-            }
-        }
-        let (f, c) = net.min_cost_max_flow(0, 4);
-        assert_eq!(f, 4);
-        // 2 units per proc: (1 + 3) + (1 + 3) = 8; any 3/1 split costs
-        // 1+3+5 + 1 = 10.
-        assert_eq!(c, 8);
     }
 
     #[test]

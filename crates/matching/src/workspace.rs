@@ -65,10 +65,6 @@ pub struct SearchWorkspace {
     pub(crate) flow: FlowNetwork,
     /// Arc ids of the task→processor arcs of the capacitated network.
     pub(crate) edge_arcs: Vec<u32>,
-    /// Arc ids of the processor→sink arcs of the capacitated network, in
-    /// active-processor order — the handles the warm capacity probes
-    /// retarget between solves.
-    pub(crate) proc_arcs: Vec<u32>,
     /// Edge-list buffer for graph constructions (`G_D` replication).
     pub(crate) edges: Vec<(u32, u32)>,
     /// Per-right-vertex BFS level (semi-matching phase descent).
@@ -150,18 +146,6 @@ impl SearchWorkspace {
         self.flow.clear(n);
         self.edge_arcs.clear();
         (&mut self.flow, &mut self.edge_arcs)
-    }
-
-    /// [`Self::flow_arena`] for the warm capacity probes: additionally
-    /// clears and returns the processor→sink arc-id buffer.
-    pub(crate) fn probe_arena(
-        &mut self,
-        n: usize,
-    ) -> (&mut FlowNetwork, &mut Vec<u32>, &mut Vec<u32>) {
-        self.flow.clear(n);
-        self.edge_arcs.clear();
-        self.proc_arcs.clear();
-        (&mut self.flow, &mut self.edge_arcs, &mut self.proc_arcs)
     }
 
     /// Augmenting paths pushed by this workspace's resident flow network

@@ -1215,12 +1215,9 @@ mod tests {
 
     #[test]
     fn singleproc_resolve_kind_serves_singleton_instances() {
-        for kind in [
-            SolverKind::ExactBisection,
-            SolverKind::HopcroftKarpSemi,
-            SolverKind::CostScaling,
-            SolverKind::MinCostFlow,
-        ] {
+        for kind in
+            [SolverKind::ExactBisection, SolverKind::HopcroftKarpSemi, SolverKind::CostScaling]
+        {
             let cfg = EngineConfig {
                 policy: RepairPolicy::Periodic { every: 1 },
                 resolve_kind: kind,

@@ -88,35 +88,27 @@ proptest! {
         }
     }
 
-    /// The min-cost-flow kind is the only fast exact backend accepting
-    /// weighted instances: under the total-load objective it must hit the
-    /// brute-force optimum, and under every other reported objective it
-    /// must refuse cleanly (those are NP-hard with weights) — never return
-    /// a silently suboptimal answer.
+    /// `weighted-load` separates per task (each task adds the weight of
+    /// its chosen edge, whatever else shares the processor), so the greedy
+    /// kinds that pick each task's cheapest edge are exact for it on
+    /// weighted instances too: they score exactly what brute force scores.
     #[test]
-    fn mcf_is_exact_on_weighted_total_load(g in covered_weighted_bipartite(8, 4, 9)) {
+    fn greedy_kinds_are_exact_on_weighted_total_load(g in covered_weighted_bipartite(8, 4, 9)) {
         let problem = Problem::SingleProc(&g);
-        for objective in Objective::REPORTED {
-            let result = solve_with(problem, SolverKind::MinCostFlow, objective);
-            if g.is_unit() || objective == Objective::WeightedLoad {
-                let sol = result.unwrap();
-                sol.validate(&problem).unwrap();
-                let opt = solve_with(problem, SolverKind::BruteForce, objective)
-                    .unwrap()
-                    .score(&problem, objective)
-                    .unwrap();
-                prop_assert_eq!(
-                    sol.score(&problem, objective).unwrap(),
-                    opt,
-                    "mcf missed the weighted optimum under {}",
-                    objective
-                );
-            } else {
-                prop_assert_eq!(
-                    result.unwrap_err(),
-                    semimatch::core::error::CoreError::RequiresUnitWeights
-                );
-            }
+        let objective = Objective::WeightedLoad;
+        let opt = solve_with(problem, SolverKind::BruteForce, objective)
+            .unwrap()
+            .score(&problem, objective)
+            .unwrap();
+        for kind in [SolverKind::Basic, SolverKind::Sorted, SolverKind::DoubleSorted] {
+            let sol = solve_with(problem, kind, objective).unwrap();
+            sol.validate(&problem).unwrap();
+            prop_assert_eq!(
+                sol.score(&problem, objective).unwrap(),
+                opt,
+                "{} missed the weighted total-load optimum",
+                kind.name()
+            );
         }
     }
 

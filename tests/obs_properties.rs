@@ -1,6 +1,6 @@
 //! Telemetry subsystem properties: exact counts under concurrency, the
 //! Noop recorder's zero-interference guarantee, Chrome trace export, and
-//! the warm-vs-cold probe accounting of the cost-scaling solver.
+//! the partitioned-vs-cold probe accounting of the cost-scaling solver.
 
 use std::sync::{Arc, Mutex};
 
@@ -254,19 +254,18 @@ fn chrome_trace_is_valid_json_and_spans_nest() {
 }
 
 // -------------------------------------------------------------------
-// Warm-vs-cold probe accounting (the ISSUE acceptance instance)
+// Partitioned-vs-cold probe accounting
 // -------------------------------------------------------------------
 
 /// A density staircase. An infeasible capacity probe's deficient closure
 /// always has every closure processor saturated, so the FLN deficiency
 /// bound `cap + ceil(uncovered / closure_procs)` equals the closure's
 /// *average* density exactly — a single uniform block therefore resolves
-/// in one probe. To force a genuine multi-probe session the closure must
+/// in one probe. To force a genuine multi-probe search the closure must
 /// hide a denser core behind a lighter bridge: here block A (120 tasks on
 /// procs {0,1}, density 60) bridges through block B (48 tasks on {1,2})
-/// so the first probe's closure is A∪B (density 56 < 60), the second
-/// probe's closure is A alone, and the resident network serves probe two
-/// warm.
+/// so the first probe's closure is A∪B (density 56 < 60) and the second
+/// probe's closure is A alone.
 fn density_staircase() -> Bipartite {
     let mut edges = Vec::new();
     let mut t = 0u32;
@@ -291,21 +290,21 @@ fn density_staircase() -> Bipartite {
 }
 
 #[test]
-fn seeded_cost_scaling_reports_warm_sessions_and_beats_cold_probes() {
+fn seeded_cost_scaling_beats_cold_probes() {
     let _guard = GLOBAL_RECORDER_LOCK.lock().unwrap();
     let g = density_staircase();
     // A deliberately skewed (but valid) seed: each task on its left pin.
-    // The wide bracket forces a real bisection over the resident network.
+    // The wide bracket forces a real search.
     let seed: Vec<u32> =
         (0..g.n_left()).map(|t| g.edge_range(t).map(|e| g.edge_right(e)).min().unwrap()).collect();
 
     let collecting = Arc::new(Collecting::new());
     semimatch::obs::install(collecting.clone());
     let mut ws = SearchWorkspace::new();
-    let warm_run = cost_scaling_seeded_in(&g, Some(&seed), &mut ws);
-    // The same workload through the cold rebuild-per-probe ablation,
+    let run = cost_scaling_seeded_in(&g, Some(&seed), &mut ws);
+    // The same workload through the unpartitioned bisection ablation,
     // plus a few tall instances on both backends: the probe-count
-    // advantage of the warm machinery shows up on the aggregate.
+    // advantage of partitioning shows up on the aggregate.
     let mut cold_ws = SearchWorkspace::new();
     let cold_run = cost_scaling_cold_in(&g, &mut cold_ws);
     let mut rng = Xoshiro256::seed_from_u64(42);
@@ -316,18 +315,16 @@ fn seeded_cost_scaling_reports_warm_sessions_and_beats_cold_probes() {
         assert_eq!(w.makespan, c.makespan, "instance {i}");
     }
     semimatch::obs::uninstall();
-    let warm_run = warm_run.unwrap();
+    let run = run.unwrap();
     let cold_run = cold_run.unwrap();
-    assert_eq!(warm_run.makespan, cold_run.makespan, "both backends are exact");
+    assert_eq!(run.makespan, cold_run.makespan, "both backends are exact");
 
     let reg = collecting.registry();
-    let warm_sessions = counter_value(reg, "cost_scaling.warm_sessions");
     let probes = counter_value(reg, "cost_scaling.probes");
     let cold_probes = counter_value(reg, "cost_scaling.cold_ablation.probes");
-    assert!(warm_sessions > 0, "resident network never went warm (probes {probes})");
     assert!(
         probes < cold_probes,
-        "warm-started search must probe less than the cold ablation \
+        "partitioned search must probe less than the cold ablation \
          ({probes} vs {cold_probes})"
     );
 }

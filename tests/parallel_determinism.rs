@@ -2,13 +2,12 @@
 //! serving engine's replay — must return the **same objective score**
 //! whether it runs on one worker or many.
 //!
-//! The parallel paths (the work-stealing semi-matching extraction, the
-//! multi-way cost-scaling probes, the sharded serve sweeps) are designed
-//! to be *deterministic-equivalent*: they may take different internal
-//! routes, but the score they report is bit-identical to the sequential
-//! run. This suite pins that contract across local pools of 1, 2 and 4
-//! workers, on the shared proptest instance generators and on a seeded
-//! tall instance large enough to cross every parallelism threshold.
+//! The exact solvers are sequential; the one parallel path inside a run
+//! is the sharded serve sweep, designed to be *deterministic-equivalent*:
+//! it may take a different internal route, but the score it reports is
+//! bit-identical to the sequential shard loop. This suite pins that
+//! contract across local pools of 1, 2 and 4 workers, on the shared
+//! proptest instance generators and on a seeded tall instance.
 
 mod common;
 
@@ -119,10 +118,8 @@ proptest! {
     }
 }
 
-/// A tall covered instance (n = 4096, p = 24): large enough that
-/// `HopcroftKarpSemi` crosses `PAR_TASK_THRESHOLD` and `CostScaling`
-/// crosses `PAR_PROBE_MIN_TASKS`, so the parallel extraction and the
-/// multi-way probes really run under the 2- and 4-worker pools.
+/// A tall covered instance (n = 4096, p = 24): the fast exact kinds
+/// reach the bisection optimum under the 1-, 2- and 4-worker pools.
 #[test]
 fn tall_instance_parallel_paths_hit_the_sequential_optimum() {
     let n = 4096u32;
@@ -145,9 +142,8 @@ fn tall_instance_parallel_paths_hit_the_sequential_optimum() {
     let g = Bipartite::from_adjacency(n, p, &lists).unwrap();
     let problem = Problem::SingleProc(&g);
 
-    // The reference optimum from a kind with no parallel fast path.
     let opt = solve(problem, SolverKind::ExactBisection).unwrap().makespan(&problem).unwrap();
-    for kind in [SolverKind::HopcroftKarpSemi, SolverKind::CostScaling, SolverKind::MinCostFlow] {
+    for kind in [SolverKind::HopcroftKarpSemi, SolverKind::CostScaling] {
         let m = scores_across_pools(problem, kind);
         assert_eq!(m, opt, "{kind} missed the optimum on the tall instance");
     }
