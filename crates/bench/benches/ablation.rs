@@ -17,6 +17,7 @@ use semimatch_core::hyper::vgh::{
     vector_greedy_hyp, vector_greedy_hyp_naive, vector_greedy_hyp_pinwise,
 };
 use semimatch_core::refine::refine;
+use semimatch_core::Objective;
 use semimatch_gen::params::{Config, Family};
 use semimatch_gen::weights::WeightScheme;
 
@@ -72,7 +73,7 @@ fn bench_ablation(c: &mut Criterion) {
     group.bench_function("sgh-plus-refinement", |b| {
         b.iter(|| {
             let mut hm = sorted_greedy_hyp(&h).unwrap();
-            refine(&h, &mut hm, 16).unwrap();
+            refine(&h, &mut hm, 16, Objective::Makespan).unwrap();
             hm.makespan(&h)
         })
     });

@@ -19,6 +19,7 @@ use semimatch_core::hyper::vgh::{vector_greedy_hyp, vector_greedy_hyp_pinwise};
 use semimatch_core::lower_bound::lower_bound_multiproc;
 use semimatch_core::quality::{median_f64, ratio};
 use semimatch_core::refine::refine;
+use semimatch_core::Objective;
 use semimatch_gen::params::table1_grid;
 use semimatch_gen::weights::WeightScheme;
 use semimatch_graph::Hypergraph;
@@ -27,7 +28,7 @@ type Variant = (&'static str, fn(&Hypergraph) -> u64);
 
 fn sgh_refined(h: &Hypergraph) -> u64 {
     let mut hm = sorted_greedy_hyp(h).unwrap();
-    refine(h, &mut hm, 16).unwrap();
+    refine(h, &mut hm, 16, Objective::Makespan).unwrap();
     hm.makespan(h)
 }
 

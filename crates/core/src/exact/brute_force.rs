@@ -366,9 +366,9 @@ mod tests {
         .unwrap();
         let (opt, solution) = brute_force_multiproc(&h, 1_000_000).unwrap();
         solution.validate(&h).unwrap();
-        for heuristic in crate::hyper::HyperHeuristic::ALL {
-            let hm = heuristic.run(&h).unwrap();
-            assert!(hm.makespan(&h) >= opt, "{}", heuristic.label());
+        for kind in crate::solver::SolverKind::HYPER_HEURISTICS {
+            let hm = kind.solve(crate::solver::Problem::MultiProc(&h)).unwrap();
+            assert!(hm.makespan(&crate::solver::Problem::MultiProc(&h)).unwrap() >= opt, "{kind}");
         }
     }
 

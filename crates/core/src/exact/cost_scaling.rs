@@ -46,6 +46,8 @@ use semimatch_obs as obs;
 
 use crate::error::Result;
 use crate::exact::unit::{check_instance, ExactResult};
+use crate::greedy::sorted::sorted_greedy;
+use crate::objective::Objective;
 use crate::problem::SemiMatching;
 
 /// Exact optimum via divide-and-conquer on the load range, throwaway
@@ -88,7 +90,7 @@ pub fn cost_scaling_seeded_in(
     let p = g.n_right();
     // Witness bracket: greedy bounds the profile from above, counting from
     // below. Unit weights keep every deadline within u32 (loads ≤ n).
-    let seed = crate::greedy::sorted::sorted_greedy(g)?;
+    let seed = sorted_greedy(g, Objective::Makespan)?;
     let mut hi = seed.makespan(g) as u32;
     let mut lo = n.div_ceil(p.max(1)).max(1);
     let mut witness: Vec<u32> = vec![NONE; n as usize];
@@ -185,7 +187,7 @@ pub fn cost_scaling_cold_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Result<E
         });
     }
     let p = g.n_right().max(1);
-    let seed = crate::greedy::sorted::sorted_greedy(g)?;
+    let seed = sorted_greedy(g, Objective::Makespan)?;
     let mut hi = seed.makespan(g) as u32;
     let mut lo = n.div_ceil(p).max(1);
     let mut calls = 0u32;

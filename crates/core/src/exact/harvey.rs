@@ -15,6 +15,8 @@
 use semimatch_graph::Bipartite;
 
 use crate::error::{CoreError, Result};
+use crate::greedy::sorted::sorted_greedy;
+use crate::objective::Objective;
 use crate::problem::SemiMatching;
 
 /// Exact optimum via cost-reducing paths. Starts from sorted-greedy.
@@ -22,7 +24,7 @@ pub fn harvey_exact(g: &Bipartite) -> Result<SemiMatching> {
     if !g.is_unit() {
         return Err(CoreError::RequiresUnitWeights);
     }
-    let start = crate::greedy::sorted::sorted_greedy(g)?;
+    let start = sorted_greedy(g, Objective::Makespan)?;
     Ok(optimize(g, start))
 }
 

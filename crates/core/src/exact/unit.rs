@@ -279,7 +279,9 @@ mod tests {
         let r = exact_unit(&g, SearchStrategy::Bisection).unwrap();
         r.solution.validate(&g).unwrap();
         assert_eq!(r.solution.makespan(&g), r.makespan);
-        let greedy = crate::greedy::sorted::sorted_greedy(&g).unwrap();
+        let greedy =
+            crate::greedy::sorted::sorted_greedy(&g, crate::objective::Objective::Makespan)
+                .unwrap();
         assert!(r.makespan <= greedy.makespan(&g));
     }
 }

@@ -9,7 +9,9 @@ use crate::problem::SemiMatching;
 
 /// Double-sorted (Algorithm 2): like sorted-greedy, but among processors
 /// of minimum load it prefers the one with the smallest in-degree `d_u`
-/// (the least-contended processor). `O(|E|)`.
+/// (the least-contended processor). `O(|E|)`. Under a sum-type
+/// `objective` the load criterion becomes the marginal cost; the
+/// in-degree tie-break is unchanged.
 ///
 /// Tie-breaking note: the paper's pseudo-code tests `d_u ≤ min_d`, which
 /// would let the *last* minimal candidate win full ties — but then the
@@ -18,51 +20,21 @@ use crate::problem::SemiMatching;
 /// narrative presumes first-candidate tie-breaking, so we test strictly
 /// (`<`), keeping the first minimum; `benches/adversarial.rs` and the
 /// `figures` binary confirm the §IV-B3 behaviour under this reading.
-pub fn double_sorted(g: &Bipartite) -> Result<SemiMatching> {
-    let mut loads = vec![0u64; g.n_right() as usize];
-    let mut edge_of = vec![0u32; g.n_left() as usize];
-    for v in tasks_by_degree(g) {
-        let mut best: Option<u32> = None;
-        let mut min_l = u64::MAX;
-        let mut min_d = u32::MAX;
-        for e in g.edge_range(v) {
-            let u = g.edge_right(e);
-            let l = loads[u as usize];
-            let d = g.deg_right(u);
-            if l < min_l || (l == min_l && d < min_d) {
-                min_l = l;
-                min_d = d;
-                best = Some(e);
-            }
-        }
-        let e = best.ok_or(CoreError::UncoveredTask(v))?;
-        edge_of[v as usize] = e;
-        loads[g.edge_right(e) as usize] += g.weight(e);
-    }
-    Ok(SemiMatching { edge_of })
-}
-
-/// Objective-aware double-sorted: the load criterion becomes the marginal
-/// cost under `objective`, the in-degree tie-break survives unchanged.
-/// Under [`Objective::Makespan`] this delegates to [`double_sorted`].
-pub(crate) fn double_sorted_with(g: &Bipartite, objective: Objective) -> Result<SemiMatching> {
-    if objective.is_bottleneck() {
-        return double_sorted(g);
-    }
+pub fn double_sorted(g: &Bipartite, objective: Objective) -> Result<SemiMatching> {
     let mut loads = vec![0u64; g.n_right() as usize];
     let mut edge_of = vec![0u32; g.n_left() as usize];
     for v in tasks_by_degree(g) {
         // First-candidate seeding (not a MAX sentinel): saturated marginals
         // must stay selectable.
         let mut best: Option<u32> = None;
-        let mut min_delta = 0u128;
+        let mut min_key = 0u128;
         let mut min_d = u32::MAX;
         for e in g.edge_range(v) {
             let u = g.edge_right(e);
-            let delta = objective.marginal(loads[u as usize], g.weight(e));
+            let key = objective.greedy_key(loads[u as usize], g.weight(e));
             let d = g.deg_right(u);
-            if best.is_none() || delta < min_delta || (delta == min_delta && d < min_d) {
-                min_delta = delta;
+            if best.is_none() || key < min_key || (key == min_key && d < min_d) {
+                min_key = key;
                 min_d = d;
                 best = Some(e);
             }
@@ -83,7 +55,7 @@ mod tests {
         // T0 may use P0 (in-degree 3) or P1 (in-degree 1); both empty.
         // Double-sorted picks P1, leaving P0 for the inflexible tasks.
         let g = Bipartite::from_edges(3, 2, &[(0, 0), (0, 1), (1, 0), (2, 0)]).unwrap();
-        let sm = double_sorted(&g).unwrap();
+        let sm = double_sorted(&g, Objective::Makespan).unwrap();
         sm.validate(&g).unwrap();
         assert_eq!(sm.proc_of(&g, 0), 1);
         assert_eq!(sm.makespan(&g), 2); // T1, T2 share P0 — unavoidable
@@ -94,7 +66,7 @@ mod tests {
         // Two identical processors (same load, same in-degree): the first
         // minimum wins (see the tie-breaking note on `double_sorted`).
         let g = Bipartite::from_edges(2, 2, &[(0, 0), (0, 1), (1, 0), (1, 1)]).unwrap();
-        let sm = double_sorted(&g).unwrap();
+        let sm = double_sorted(&g, Objective::Makespan).unwrap();
         assert_eq!(sm.proc_of(&g, 0), 0);
         // T1 then takes the empty P1: optimal despite the blind spot.
         assert_eq!(sm.makespan(&g), 1);
@@ -103,12 +75,15 @@ mod tests {
     #[test]
     fn fig1_still_optimal() {
         let g = Bipartite::from_edges(2, 2, &[(0, 0), (0, 1), (1, 0)]).unwrap();
-        assert_eq!(double_sorted(&g).unwrap().makespan(&g), 1);
+        assert_eq!(double_sorted(&g, Objective::Makespan).unwrap().makespan(&g), 1);
     }
 
     #[test]
     fn uncovered_task_errors() {
         let g = Bipartite::from_edges(2, 1, &[(1, 0)]).unwrap();
-        assert_eq!(double_sorted(&g).unwrap_err(), CoreError::UncoveredTask(0));
+        assert_eq!(
+            double_sorted(&g, Objective::Makespan).unwrap_err(),
+            CoreError::UncoveredTask(0)
+        );
     }
 }

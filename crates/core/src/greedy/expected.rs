@@ -15,18 +15,11 @@ use crate::problem::SemiMatching;
 ///
 /// With unit weights this is the paper's pseudo-code verbatim; weighted
 /// edges contribute `w(e)/d_v`, matching the hypergraph generalization
-/// (Algorithm 5).
-pub fn expected_greedy(g: &Bipartite) -> Result<SemiMatching> {
-    expected_greedy_with(g, Objective::Makespan)
-}
-
-/// Objective-aware expected-greedy: for non-makespan objectives the
-/// selection key is the marginal cost of the edge evaluated on the
-/// *expected* loads (`objective.marginal_f64(o(u), w(e))`), so the
-/// forecast drives the same cost model the caller asked for. Under
-/// [`Objective::Makespan`] the key reduces to the paper's `min o(u)`
-/// criterion (identical tie-breaking).
-pub(crate) fn expected_greedy_with(g: &Bipartite, objective: Objective) -> Result<SemiMatching> {
+/// (Algorithm 5). Under a sum-type `objective` the selection key is the
+/// marginal cost of the edge evaluated on the *expected* loads
+/// (`objective.marginal_f64(o(u), w(e))`), so the forecast drives the
+/// same cost model the caller asked for.
+pub fn expected_greedy(g: &Bipartite, objective: Objective) -> Result<SemiMatching> {
     let makespan = objective.is_bottleneck();
     let mut o = vec![0.0f64; g.n_right() as usize];
     for v in 0..g.n_left() {
@@ -84,7 +77,7 @@ mod tests {
         // Recompute o at the end by reusing the algorithm's invariant: once
         // all tasks are assigned, o must equal the true loads. We check via
         // makespan equality against independent load computation.
-        let sm = expected_greedy(&g).unwrap();
+        let sm = expected_greedy(&g, Objective::Makespan).unwrap();
         sm.validate(&g).unwrap();
         let loads = sm.loads(&g);
         assert_eq!(loads.iter().sum::<u64>(), 5, "all unit tasks placed");
@@ -93,7 +86,7 @@ mod tests {
     #[test]
     fn fig1_optimal() {
         let g = Bipartite::from_edges(2, 2, &[(0, 0), (0, 1), (1, 0)]).unwrap();
-        let sm = expected_greedy(&g).unwrap();
+        let sm = expected_greedy(&g, Objective::Makespan).unwrap();
         assert_eq!(sm.makespan(&g), 1);
     }
 
@@ -102,7 +95,7 @@ mod tests {
         // P0 is wanted by two degree-1 tasks: o(P0) = 2 beats o(P1) = 0.5
         // so the flexible T0 avoids it even though both are empty now.
         let g = Bipartite::from_edges(3, 2, &[(0, 0), (0, 1), (1, 0), (2, 0)]).unwrap();
-        let sm = expected_greedy(&g).unwrap();
+        let sm = expected_greedy(&g, Objective::Makespan).unwrap();
         assert_eq!(sm.proc_of(&g, 0), 1);
         assert_eq!(sm.makespan(&g), 2); // T1, T2 must share P0
     }
@@ -113,7 +106,7 @@ mod tests {
         // must see that coming and go to P1.
         let g =
             Bipartite::from_weighted_edges(2, 2, &[(0, 0), (0, 1), (1, 0)], &[1, 1, 10]).unwrap();
-        let sm = expected_greedy(&g).unwrap();
+        let sm = expected_greedy(&g, Objective::Makespan).unwrap();
         assert_eq!(sm.proc_of(&g, 0), 1);
         assert_eq!(sm.makespan(&g), 10);
     }
@@ -121,6 +114,9 @@ mod tests {
     #[test]
     fn uncovered_task_errors() {
         let g = Bipartite::from_edges(1, 1, &[]).unwrap();
-        assert_eq!(expected_greedy(&g).unwrap_err(), CoreError::UncoveredTask(0));
+        assert_eq!(
+            expected_greedy(&g, Objective::Makespan).unwrap_err(),
+            CoreError::UncoveredTask(0)
+        );
     }
 }

@@ -100,7 +100,12 @@ mod tests {
         // greedy ties on current load and takes P0; LPT compares finish
         // times and takes P1.
         let g = Bipartite::from_weighted_edges(1, 2, &[(0, 0), (0, 1)], &[10, 1]).unwrap();
-        assert_eq!(crate::greedy::basic::basic_greedy(&g).unwrap().makespan(&g), 10);
+        assert_eq!(
+            crate::greedy::basic::basic_greedy(&g, crate::objective::Objective::Makespan)
+                .unwrap()
+                .makespan(&g),
+            10
+        );
         assert_eq!(lpt_greedy(&g).unwrap().makespan(&g), 1);
     }
 
@@ -126,7 +131,8 @@ mod tests {
         let g =
             Bipartite::from_edges(4, 2, &[(0, 0), (0, 1), (1, 0), (2, 1), (3, 0), (3, 1)]).unwrap();
         let a = lpt_greedy(&g).unwrap();
-        let b = crate::greedy::basic::basic_greedy(&g).unwrap();
+        let b =
+            crate::greedy::basic::basic_greedy(&g, crate::objective::Objective::Makespan).unwrap();
         assert_eq!(a.makespan(&g), b.makespan(&g));
     }
 

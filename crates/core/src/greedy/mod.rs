@@ -1,9 +1,13 @@
 //! Greedy heuristics for `SINGLEPROC` (§IV-B, Algorithms 1–3).
 //!
 //! All four heuristics run in `O(|E|)` (plus a counting sort) and differ in
-//! the visiting order of tasks and in the criterion that picks a processor:
+//! the visiting order of tasks and in the criterion that picks a processor.
+//! Each takes an [`Objective`](crate::objective::Objective): the criteria
+//! below are the makespan ones; under a sum-type objective the load
+//! criterion becomes the marginal cost of the edge (on the expected loads
+//! for expected-greedy), with the same visit order and tie-breaks.
 //!
-//! | heuristic | task order | criterion | tie-break |
+//! | heuristic | task order | criterion (makespan) | tie-break |
 //! |---|---|---|---|
 //! | [`basic::basic_greedy`] | input order | min load | first (smallest id) |
 //! | [`sorted::sorted_greedy`] | non-decreasing degree | min load | first |

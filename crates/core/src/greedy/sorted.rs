@@ -5,15 +5,17 @@ use semimatch_graph::Bipartite;
 use crate::error::Result;
 use crate::greedy::basic::greedy_in_order;
 use crate::greedy::tasks_by_degree;
+use crate::objective::Objective;
 use crate::problem::SemiMatching;
 
 /// Sorted-greedy (§IV-B2): schedule the most constrained tasks (fewest
 /// eligible processors) first, then proceed as basic-greedy. `O(|E|)`.
 ///
 /// Fixes the paper's Fig. 1 example but still reaches makespan `k` on the
-/// Fig. 3 family (see `semimatch-gen`'s `adversarial::fig3`).
-pub fn sorted_greedy(g: &Bipartite) -> Result<SemiMatching> {
-    greedy_in_order(g, &tasks_by_degree(g))
+/// Fig. 3 family (see `semimatch-gen`'s `adversarial::fig3`). Under a
+/// sum-type `objective` the criterion becomes the marginal cost.
+pub fn sorted_greedy(g: &Bipartite, objective: Objective) -> Result<SemiMatching> {
+    greedy_in_order(g, &tasks_by_degree(g), objective)
 }
 
 #[cfg(test)]
@@ -24,7 +26,7 @@ mod tests {
     fn fixes_fig1() {
         // T1 (degree 1) goes first → P0; T0 then takes P1: makespan 1.
         let g = Bipartite::from_edges(2, 2, &[(0, 0), (0, 1), (1, 0)]).unwrap();
-        let sm = sorted_greedy(&g).unwrap();
+        let sm = sorted_greedy(&g, Objective::Makespan).unwrap();
         sm.validate(&g).unwrap();
         assert_eq!(sm.makespan(&g), 1);
     }
@@ -34,8 +36,8 @@ mod tests {
         // All degrees equal → order degenerates to input order and the
         // heuristic behaves exactly like basic-greedy.
         let g = Bipartite::from_edges(2, 2, &[(0, 0), (0, 1), (1, 0), (1, 1)]).unwrap();
-        let a = sorted_greedy(&g).unwrap();
-        let b = crate::greedy::basic::basic_greedy(&g).unwrap();
+        let a = sorted_greedy(&g, Objective::Makespan).unwrap();
+        let b = crate::greedy::basic::basic_greedy(&g, Objective::Makespan).unwrap();
         assert_eq!(a, b);
     }
 
@@ -48,7 +50,7 @@ mod tests {
             &[4, 3, 3, 2, 2],
         )
         .unwrap();
-        let sm = sorted_greedy(&g).unwrap();
+        let sm = sorted_greedy(&g, Objective::Makespan).unwrap();
         sm.validate(&g).unwrap();
         // T0 (deg 1) → P0 (load 4); T1 → P1 (3); T2 → P1? loads (4,3) → P1
         // has smaller load → (4, 5). Makespan 5.

@@ -139,7 +139,9 @@ mod tests {
             b.weighted_config(v, vec![u], w);
         }
         let h = b.build().unwrap();
-        let bi = crate::greedy::expected::expected_greedy(&g).unwrap();
+        let bi =
+            crate::greedy::expected::expected_greedy(&g, crate::objective::Objective::Makespan)
+                .unwrap();
         let hy = expected_greedy_hyp(&h).unwrap();
         assert_eq!(bi.makespan(&g), hy.makespan(&h));
     }

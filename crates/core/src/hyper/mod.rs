@@ -43,45 +43,6 @@ pub(crate) fn tasks_by_degree(h: &Hypergraph) -> Vec<u32> {
     order
 }
 
-/// Selector for the four `MULTIPROC` heuristics (bench/report plumbing).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum HyperHeuristic {
-    /// sorted-greedy-hyp (SGH).
-    Sgh,
-    /// vector-greedy-hyp (VGH).
-    Vgh,
-    /// expected-greedy-hyp (EGH).
-    Egh,
-    /// expected-vector-greedy-hyp (EVG).
-    Evg,
-}
-
-impl HyperHeuristic {
-    /// Table column order of the paper: SGH, VGH, EGH, EVG.
-    pub const ALL: [HyperHeuristic; 4] =
-        [HyperHeuristic::Sgh, HyperHeuristic::Vgh, HyperHeuristic::Egh, HyperHeuristic::Evg];
-
-    /// Column label used in Tables II/III.
-    pub fn label(self) -> &'static str {
-        match self {
-            HyperHeuristic::Sgh => "SGH",
-            HyperHeuristic::Vgh => "VGH",
-            HyperHeuristic::Egh => "EGH",
-            HyperHeuristic::Evg => "EVG",
-        }
-    }
-
-    /// Runs the heuristic (optimized variants for the vector strategies).
-    pub fn run(self, h: &Hypergraph) -> crate::error::Result<crate::problem::HyperMatching> {
-        match self {
-            HyperHeuristic::Sgh => sgh::sorted_greedy_hyp(h),
-            HyperHeuristic::Vgh => vgh::vector_greedy_hyp(h),
-            HyperHeuristic::Egh => egh::expected_greedy_hyp(h),
-            HyperHeuristic::Evg => evg::expected_vector_greedy_hyp(h),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,7 +64,8 @@ mod tests {
 
     #[test]
     fn labels_match_paper_columns() {
-        let labels: Vec<_> = HyperHeuristic::ALL.iter().map(|x| x.label()).collect();
+        let labels: Vec<_> =
+            crate::solver::SolverKind::HYPER_HEURISTICS.iter().map(|k| k.label()).collect();
         assert_eq!(labels, vec!["SGH", "VGH", "EGH", "EVG"]);
     }
 }

@@ -129,7 +129,8 @@ mod tests {
             b.weighted_config(v, vec![u], w);
         }
         let h = b.build().unwrap();
-        let bi = crate::greedy::sorted::sorted_greedy(&g).unwrap();
+        let bi = crate::greedy::sorted::sorted_greedy(&g, crate::objective::Objective::Makespan)
+            .unwrap();
         let hy = sorted_greedy_hyp(&h).unwrap();
         assert_eq!(bi.makespan(&g), hy.makespan(&h));
     }

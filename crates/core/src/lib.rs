@@ -31,14 +31,14 @@
 //! * beyond the paper: first-class cost models ([`objective`]: makespan,
 //!   flow time, `L_p` norms, total load — the axis every solver entry
 //!   point accepts), local-search [`refine`] and iterated local search
-//!   with objective-aware move acceptance, one-pass [`streaming`] greedy
-//!   (Konrad–Rosén), the Graham LPT baseline ([`greedy::lpt`]),
-//!   load-profile [`analysis`], and solution serialization
-//!   ([`solution_io`]).
+//!   with objective-aware move acceptance, one- and two-pass
+//!   [`streaming`] greedy (Konrad–Rosén), the Graham LPT baseline
+//!   ([`greedy::lpt`]), load-profile [`analysis`], and solution
+//!   serialization ([`solution_io`]).
 //!
 //! ```
 //! use semimatch_graph::Hypergraph;
-//! use semimatch_core::hyper::HyperHeuristic;
+//! use semimatch_core::hyper::evg::expected_vector_greedy_hyp;
 //! use semimatch_core::lower_bound::lower_bound_multiproc;
 //!
 //! // Fig. 2 of the paper.
@@ -47,7 +47,7 @@
 //!     &[vec![vec![0], vec![1, 2]], vec![vec![0]], vec![vec![2]], vec![vec![2]]],
 //! )
 //! .unwrap();
-//! let hm = HyperHeuristic::Evg.run(&h).unwrap();
+//! let hm = expected_vector_greedy_hyp(&h).unwrap();
 //! let lb = lower_bound_multiproc(&h).unwrap();
 //! assert!(hm.makespan(&h) >= lb);
 //! ```
@@ -71,51 +71,11 @@ pub mod solver;
 pub mod streaming;
 
 pub use error::{CoreError, Result};
-pub use hyper::HyperHeuristic;
 pub use objective::{Objective, Score};
 pub use problem::{HyperMatching, SemiMatching};
 pub use solver::{
     solve, solve_many, solve_with, KindSolver, Problem, Solution, Solver, SolverClass, SolverKind,
 };
-
-/// Selector for the four `SINGLEPROC` heuristics (report plumbing).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BiHeuristic {
-    /// basic-greedy (Algorithm 1).
-    Basic,
-    /// sorted-greedy.
-    Sorted,
-    /// double-sorted (Algorithm 2).
-    DoubleSorted,
-    /// expected-greedy (Algorithm 3).
-    Expected,
-}
-
-impl BiHeuristic {
-    /// All four, in the paper's presentation order.
-    pub const ALL: [BiHeuristic; 4] =
-        [BiHeuristic::Basic, BiHeuristic::Sorted, BiHeuristic::DoubleSorted, BiHeuristic::Expected];
-
-    /// Stable short name.
-    pub fn label(self) -> &'static str {
-        match self {
-            BiHeuristic::Basic => "basic",
-            BiHeuristic::Sorted => "sorted",
-            BiHeuristic::DoubleSorted => "double-sorted",
-            BiHeuristic::Expected => "expected",
-        }
-    }
-
-    /// Runs the heuristic.
-    pub fn run(self, g: &semimatch_graph::Bipartite) -> Result<SemiMatching> {
-        match self {
-            BiHeuristic::Basic => greedy::basic::basic_greedy(g),
-            BiHeuristic::Sorted => greedy::sorted::sorted_greedy(g),
-            BiHeuristic::DoubleSorted => greedy::double_sorted::double_sorted(g),
-            BiHeuristic::Expected => greedy::expected::expected_greedy(g),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -132,17 +92,17 @@ mod tests {
         .unwrap();
         let lb = lower_bound::lower_bound_singleproc(&g).unwrap();
         let opt = exact::exact_unit(&g, exact::SearchStrategy::Bisection).unwrap().makespan;
-        for h in BiHeuristic::ALL {
-            let sm = h.run(&g).unwrap();
+        for kind in SolverKind::BI_HEURISTICS {
+            let sm = kind.solve(Problem::SingleProc(&g)).unwrap().into_semi().unwrap();
             sm.validate(&g).unwrap();
             let m = sm.makespan(&g);
-            assert!(lb <= opt && opt <= m, "{}: lb {lb} opt {opt} makespan {m}", h.label());
+            assert!(lb <= opt && opt <= m, "{kind}: lb {lb} opt {opt} makespan {m}");
         }
     }
 
     #[test]
     fn labels_are_distinct() {
-        let mut labels: Vec<_> = BiHeuristic::ALL.iter().map(|h| h.label()).collect();
+        let mut labels: Vec<_> = SolverKind::BI_HEURISTICS.iter().map(|k| k.label()).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), 4);

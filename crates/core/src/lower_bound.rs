@@ -120,17 +120,6 @@ pub fn lower_bound_objective_singleproc(g: &Bipartite, objective: Objective) -> 
     Ok(balanced_score(objective, total, g.n_right().max(1) as u64))
 }
 
-/// The flow-time analogue of Eq. 1 for `MULTIPROC`:
-/// `Σ_u l(u)(l(u)+1)/2` of the balanced spread of the cheapest total work.
-pub fn lower_bound_flowtime_multiproc(h: &Hypergraph) -> Result<Score> {
-    lower_bound_objective_multiproc(h, Objective::FlowTime)
-}
-
-/// The flow-time analogue of Eq. 1 for `SINGLEPROC`.
-pub fn lower_bound_flowtime_singleproc(g: &Bipartite) -> Result<Score> {
-    lower_bound_objective_singleproc(g, Objective::FlowTime)
-}
-
 /// The same bound specialized to `SINGLEPROC`: `time_i = min_e w(e)`.
 pub fn lower_bound_singleproc(g: &Bipartite) -> Result<u64> {
     let mut total: u128 = 0;
@@ -218,7 +207,7 @@ mod tests {
     fn empty_instance() {
         let h = Hypergraph::from_hyperedges(0, 4, vec![]).unwrap();
         assert_eq!(lower_bound_multiproc(&h).unwrap(), 0);
-        assert_eq!(lower_bound_flowtime_multiproc(&h).unwrap(), Score(0));
+        assert_eq!(lower_bound_objective_multiproc(&h, Objective::FlowTime).unwrap(), Score(0));
     }
 
     /// The degenerate corners of the balanced-spread bound: zero tasks,
@@ -266,7 +255,7 @@ mod tests {
         // 5 unit tasks, 2 processors → balanced loads (3, 2) → 6 + 3 = 9.
         let g =
             Bipartite::from_edges(5, 2, &[(0, 0), (1, 0), (2, 1), (3, 1), (4, 0), (4, 1)]).unwrap();
-        assert_eq!(lower_bound_flowtime_singleproc(&g).unwrap(), Score(9));
+        assert_eq!(lower_bound_objective_singleproc(&g, Objective::FlowTime).unwrap(), Score(9));
         // The makespan arm delegates to Eq. 1.
         assert_eq!(
             lower_bound_objective_singleproc(&g, Objective::Makespan).unwrap(),
@@ -303,8 +292,14 @@ mod tests {
     #[test]
     fn objective_bound_rejects_uncovered_tasks() {
         let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], 1)]).unwrap();
-        assert_eq!(lower_bound_flowtime_multiproc(&h).unwrap_err(), CoreError::UncoveredTask(1));
+        assert_eq!(
+            lower_bound_objective_multiproc(&h, Objective::FlowTime).unwrap_err(),
+            CoreError::UncoveredTask(1)
+        );
         let g = Bipartite::from_edges(2, 1, &[(0, 0)]).unwrap();
-        assert_eq!(lower_bound_flowtime_singleproc(&g).unwrap_err(), CoreError::UncoveredTask(1));
+        assert_eq!(
+            lower_bound_objective_singleproc(&g, Objective::FlowTime).unwrap_err(),
+            CoreError::UncoveredTask(1)
+        );
     }
 }

@@ -145,6 +145,18 @@ impl Objective {
         self.proc_cost(load.saturating_add(add)) - self.proc_cost(load)
     }
 
+    /// The selection key of the greedy families for placing `add` on a
+    /// processor of load `load`: the load itself under the makespan (the
+    /// paper's min-load criterion), the [`marginal`](Self::marginal) cost
+    /// under a sum-type objective. Smaller is better.
+    pub(crate) fn greedy_key(self, load: u64, add: u64) -> u128 {
+        if self.is_bottleneck() {
+            u128::from(load)
+        } else {
+            self.marginal(load, add)
+        }
+    }
+
     /// [`Objective::marginal`] over fractional (expected) loads, for the
     /// expected-load heuristic family. Overflowing float costs
     /// (`∞ − ∞ = NaN` under huge `L_p` exponents) are clamped to `+∞` so

@@ -3,7 +3,7 @@
 //! The paper's conclusion calls for algorithms with better solutions than
 //! the one-pass greedies. This module adds the natural next step: a
 //! first-improvement descent that re-allocates one task at a time, until
-//! a fixpoint. Move acceptance is objective-aware ([`refine_with`]):
+//! a fixpoint. Move acceptance is objective-aware ([`refine`]):
 //! under the makespan each accepted move strictly decreases the
 //! descending-sorted load vector lexicographically (the VGH criterion);
 //! under a sum-type [`Objective`] each accepted move strictly decreases
@@ -26,40 +26,28 @@ pub struct RefineStats {
     pub passes: u32,
 }
 
-/// Refines `hm` in place; stops at a fixpoint or after `max_passes`.
-///
-/// Thin alias for [`refine_with`] under [`Objective::Makespan`]: the
-/// historical lexicographic descent (which dominates the plain makespan
-/// criterion) is exactly the makespan arm of the objective-aware entry.
-pub fn refine(h: &Hypergraph, hm: &mut HyperMatching, max_passes: u32) -> Result<RefineStats> {
-    refine_with(h, hm, max_passes, Objective::Makespan)
-}
-
 /// Objective-aware first-improvement descent: re-allocates one task at a
 /// time, accepting a move iff it strictly improves the solution under
 /// `objective`; stops at a fixpoint or after `max_passes`.
 ///
 /// Move acceptance per objective:
-/// * [`Objective::Makespan`] — the lexicographic load-vector descent of
-///   the original `refine` (strictly stronger than comparing the raw
-///   makespan, and unchanged from the historical behaviour);
+/// * [`Objective::Makespan`] — the lexicographic load-vector descent
+///   (strictly stronger than comparing the raw makespan);
 /// * sum-type objectives — a task moves to the candidate with the
 ///   smallest total marginal cost `Σ_{u∈h} (cost(l(u)+w_h) − cost(l(u)))`
 ///   over the loads with the task's own contribution removed; ties keep
 ///   the current configuration. Every accepted move strictly decreases
 ///   the integer objective score, so termination is guaranteed and the
 ///   result never scores worse than the input.
-pub fn refine_with(
+pub fn refine(
     h: &Hypergraph,
     hm: &mut HyperMatching,
     max_passes: u32,
     objective: Objective,
 ) -> Result<RefineStats> {
-    if objective.is_bottleneck() {
-        return refine_lex(h, hm, max_passes);
-    }
     hm.validate(h)?;
     let mut loads = hm.loads(h);
+    let mut scratch = LexScratch::default();
     let mut stats = RefineStats::default();
     for _ in 0..max_passes {
         stats.passes += 1;
@@ -74,24 +62,11 @@ pub fn refine_with(
             for &u in h.procs_of(current) {
                 loads[u as usize] -= w_cur;
             }
-            let delta = |hid: u32| {
-                let w = h.weight(hid);
-                h.procs_of(hid).iter().fold(0u128, |acc, &u| {
-                    acc.saturating_add(objective.marginal(loads[u as usize], w))
-                })
+            let best = if objective.is_bottleneck() {
+                best_lex(h, t, current, &loads, &mut scratch)
+            } else {
+                best_marginal(h, t, current, &loads, objective)
             };
-            let mut best = current;
-            let mut best_delta = delta(current);
-            for hid in h.hedges_of(t) {
-                if hid == current {
-                    continue;
-                }
-                let d = delta(hid);
-                if d < best_delta {
-                    best_delta = d;
-                    best = hid;
-                }
-            }
             let w_new = h.weight(best);
             for &u in h.procs_of(best) {
                 loads[u as usize] += w_new;
@@ -110,58 +85,52 @@ pub fn refine_with(
     Ok(stats)
 }
 
-/// The historical lexicographic (makespan) descent.
-fn refine_lex(h: &Hypergraph, hm: &mut HyperMatching, max_passes: u32) -> Result<RefineStats> {
-    hm.validate(h)?;
-    let mut loads = hm.loads(h);
-    let mut scratch = LexScratch::default();
-    let mut stats = RefineStats::default();
-
-    for _ in 0..max_passes {
-        stats.passes += 1;
-        let mut moved_this_pass = false;
-        for t in 0..h.n_tasks() {
-            let current = hm.hedge_of[t as usize];
-            if h.deg_task(t) <= 1 {
-                continue;
-            }
-            // Remove t's contribution; candidates then compare fairly.
-            let w_cur = h.weight(current);
-            for &u in h.procs_of(current) {
-                loads[u as usize] -= w_cur;
-            }
-            let mut best = current;
-            for hid in h.hedges_of(t) {
-                if hid == best {
-                    continue;
-                }
-                let ord = scratch.cmp_candidates(
-                    &loads,
-                    h.procs_of(hid),
-                    h.weight(hid),
-                    h.procs_of(best),
-                    h.weight(best),
-                );
-                if ord == std::cmp::Ordering::Less {
-                    best = hid;
-                }
-            }
-            let w_new = h.weight(best);
-            for &u in h.procs_of(best) {
-                loads[u as usize] += w_new;
-            }
-            if best != current {
-                hm.hedge_of[t as usize] = best;
-                stats.moves += 1;
-                moved_this_pass = true;
-            }
+/// Task `t`'s lexicographically best configuration over `loads` (its own
+/// contribution removed); a candidate must be strictly better to replace
+/// the incumbent, which starts at `current`.
+fn best_lex(h: &Hypergraph, t: u32, current: u32, loads: &[u64], scratch: &mut LexScratch) -> u32 {
+    let mut best = current;
+    for hid in h.hedges_of(t) {
+        if hid == best {
+            continue;
         }
-        if !moved_this_pass {
-            break;
+        let ord = scratch.cmp_candidates(
+            loads,
+            h.procs_of(hid),
+            h.weight(hid),
+            h.procs_of(best),
+            h.weight(best),
+        );
+        if ord == std::cmp::Ordering::Less {
+            best = hid;
         }
     }
-    debug_assert_eq!(loads, hm.loads(h), "incremental loads stay consistent");
-    Ok(stats)
+    best
+}
+
+/// Task `t`'s configuration of smallest total marginal cost under
+/// `objective` over `loads` (its own contribution removed); ties keep
+/// `current`, then the lowest id.
+fn best_marginal(h: &Hypergraph, t: u32, current: u32, loads: &[u64], objective: Objective) -> u32 {
+    let delta = |hid: u32| {
+        let w = h.weight(hid);
+        h.procs_of(hid)
+            .iter()
+            .fold(0u128, |acc, &u| acc.saturating_add(objective.marginal(loads[u as usize], w)))
+    };
+    let mut best = current;
+    let mut best_delta = delta(current);
+    for hid in h.hedges_of(t) {
+        if hid == current {
+            continue;
+        }
+        let d = delta(hid);
+        if d < best_delta {
+            best_delta = d;
+            best = hid;
+        }
+    }
+    best
 }
 
 /// Statistics of an iterated-local-search run.
@@ -176,29 +145,19 @@ pub struct IlsStats {
 }
 
 /// Iterated local search (extension beyond the paper): alternate the
-/// lexicographic descent of [`refine`] with deterministic *bottleneck
-/// kicks* that force every task touching the most-loaded processor onto
-/// its cyclically-next configuration.
+/// descent of [`refine`] with deterministic *bottleneck kicks* that force
+/// every task touching the most-loaded processor onto its cyclically-next
+/// configuration.
 ///
 /// The kick deliberately worsens the schedule to escape the descent's
-/// fixpoint; the best schedule seen is tracked and returned in `hm`.
-/// Fully deterministic (kick `k` rotates by `1 + k mod (d_v − 1)`), so
-/// results are reproducible without threading an RNG through the solver.
+/// fixpoint; the best schedule seen under `objective` is tracked and
+/// returned in `hm`. The kick stays bottleneck-directed for every
+/// objective — the most loaded processor is where both the makespan *and*
+/// the convex sum costs concentrate, so perturbing it is the right escape
+/// move throughout. Fully deterministic (kick `k` rotates by
+/// `1 + k mod (d_v − 1)`), so results are reproducible without threading
+/// an RNG through the solver.
 pub fn iterated_refine(
-    h: &Hypergraph,
-    hm: &mut HyperMatching,
-    kicks: u32,
-    passes_per_round: u32,
-) -> Result<IlsStats> {
-    iterated_refine_with(h, hm, kicks, passes_per_round, Objective::Makespan)
-}
-
-/// Objective-aware iterated local search: descent rounds run through
-/// [`refine_with`] and the incumbent is tracked under `objective`. The
-/// kick stays bottleneck-directed for every objective — the most loaded
-/// processor is where both the makespan *and* the convex sum costs
-/// concentrate, so perturbing it is the right escape move throughout.
-pub fn iterated_refine_with(
     h: &Hypergraph,
     hm: &mut HyperMatching,
     kicks: u32,
@@ -206,7 +165,7 @@ pub fn iterated_refine_with(
     objective: Objective,
 ) -> Result<IlsStats> {
     let mut stats = IlsStats::default();
-    let first = refine_with(h, hm, passes_per_round, objective)?;
+    let first = refine(h, hm, passes_per_round, objective)?;
     stats.moves += first.moves;
     let mut best = hm.clone();
     let mut best_score = best.score(h, objective);
@@ -240,7 +199,7 @@ pub fn iterated_refine_with(
         if !kicked {
             break; // bottleneck is immovable; further kicks are identical
         }
-        let round = refine_with(h, hm, passes_per_round, objective)?;
+        let round = refine(h, hm, passes_per_round, objective)?;
         stats.moves += round.moves;
         let score = hm.score(h, objective);
         if score < best_score {
@@ -257,6 +216,12 @@ pub fn iterated_refine_with(
 mod tests {
     use super::*;
     use crate::hyper::sgh::sorted_greedy_hyp;
+    use crate::solver::{Problem, SolverKind};
+
+    /// The registry's makespan run of a hypergraph heuristic kind.
+    fn run(kind: SolverKind, h: &Hypergraph) -> HyperMatching {
+        kind.solve(Problem::MultiProc(h)).unwrap().into_hyper().unwrap()
+    }
 
     fn weighted_case() -> Hypergraph {
         Hypergraph::from_hyperedges(
@@ -277,12 +242,12 @@ mod tests {
     #[test]
     fn never_increases_makespan() {
         let h = weighted_case();
-        for heuristic in crate::hyper::HyperHeuristic::ALL {
-            let mut hm = heuristic.run(&h).unwrap();
+        for kind in SolverKind::HYPER_HEURISTICS {
+            let mut hm = run(kind, &h);
             let before = hm.makespan(&h);
-            refine(&h, &mut hm, 32).unwrap();
+            refine(&h, &mut hm, 32, Objective::Makespan).unwrap();
             hm.validate(&h).unwrap();
-            assert!(hm.makespan(&h) <= before, "{}", heuristic.label());
+            assert!(hm.makespan(&h) <= before, "{kind}");
         }
     }
 
@@ -293,7 +258,7 @@ mod tests {
         // makespan 12.
         let mut hm = HyperMatching { hedge_of: vec![0, 2, 5] };
         assert_eq!(hm.makespan(&h), 12);
-        let stats = refine(&h, &mut hm, 32).unwrap();
+        let stats = refine(&h, &mut hm, 32, Objective::Makespan).unwrap();
         assert!(stats.moves >= 2);
         // Optimum here: T0→{P1,P2} (2), T1→P0 (3), T2→P2 (4) → makespan 6.
         assert!(hm.makespan(&h) <= 6, "got {}", hm.makespan(&h));
@@ -303,9 +268,9 @@ mod tests {
     fn fixpoint_is_stable() {
         let h = weighted_case();
         let mut hm = sorted_greedy_hyp(&h).unwrap();
-        refine(&h, &mut hm, 32).unwrap();
+        refine(&h, &mut hm, 32, Objective::Makespan).unwrap();
         let frozen = hm.clone();
-        let stats = refine(&h, &mut hm, 32).unwrap();
+        let stats = refine(&h, &mut hm, 32, Objective::Makespan).unwrap();
         assert_eq!(stats.moves, 0);
         assert_eq!(hm, frozen);
     }
@@ -314,7 +279,7 @@ mod tests {
     fn respects_pass_limit() {
         let h = weighted_case();
         let mut hm = HyperMatching { hedge_of: vec![0, 2, 5] };
-        let stats = refine(&h, &mut hm, 1).unwrap();
+        let stats = refine(&h, &mut hm, 1, Objective::Makespan).unwrap();
         assert_eq!(stats.passes, 1);
     }
 
@@ -322,22 +287,22 @@ mod tests {
     fn invalid_input_rejected() {
         let h = weighted_case();
         let mut hm = HyperMatching { hedge_of: vec![0, 0, 5] }; // hedge 0 not T1's
-        assert!(refine(&h, &mut hm, 4).is_err());
+        assert!(refine(&h, &mut hm, 4, Objective::Makespan).is_err());
     }
 
     #[test]
     fn ils_never_loses_to_plain_refinement() {
         let h = weighted_case();
-        for heuristic in crate::hyper::HyperHeuristic::ALL {
-            let mut plain = heuristic.run(&h).unwrap();
-            refine(&h, &mut plain, 32).unwrap();
-            let mut ils = heuristic.run(&h).unwrap();
-            iterated_refine(&h, &mut ils, 8, 32).unwrap();
+        for kind in SolverKind::HYPER_HEURISTICS {
+            let mut plain = run(kind, &h);
+            refine(&h, &mut plain, 32, Objective::Makespan).unwrap();
+            let mut ils = run(kind, &h);
+            iterated_refine(&h, &mut ils, 8, 32, Objective::Makespan).unwrap();
             ils.validate(&h).unwrap();
             assert!(
                 ils.makespan(&h) <= plain.makespan(&h),
                 "{}: ILS {} vs refine {}",
-                heuristic.label(),
+                kind.label(),
                 ils.makespan(&h),
                 plain.makespan(&h)
             );
@@ -361,10 +326,10 @@ mod tests {
         // Plain descent is stuck: any single move makes [6,6] → worse or
         // equal lexicographically? moving T0 to {P0} w4 gives loads (7,3):
         // [7,3] > [6,6]; symmetric for T1 — fixpoint at 6.
-        let stats = refine(&h, &mut hm, 16).unwrap();
+        let stats = refine(&h, &mut hm, 16, Objective::Makespan).unwrap();
         assert_eq!(stats.moves, 0, "descent alone cannot move");
         // ILS kicks through and finds the (4, 4) split.
-        let ils = iterated_refine(&h, &mut hm, 8, 16).unwrap();
+        let ils = iterated_refine(&h, &mut hm, 8, 16, Objective::Makespan).unwrap();
         assert!(ils.kicks >= 1);
         assert_eq!(hm.makespan(&h), 4, "ILS reaches the optimum");
     }
@@ -373,7 +338,7 @@ mod tests {
     fn ils_stats_are_consistent() {
         let h = weighted_case();
         let mut hm = HyperMatching { hedge_of: vec![0, 2, 5] };
-        let stats = iterated_refine(&h, &mut hm, 4, 16).unwrap();
+        let stats = iterated_refine(&h, &mut hm, 4, 16, Objective::Makespan).unwrap();
         assert!(stats.kicks <= 4);
         assert!(stats.improvements <= stats.kicks);
         hm.validate(&h).unwrap();
@@ -383,7 +348,7 @@ mod tests {
     fn single_config_tasks_untouched() {
         let h = Hypergraph::from_hyperedges(2, 2, vec![(0, vec![0], 1), (1, vec![1], 1)]).unwrap();
         let mut hm = HyperMatching { hedge_of: vec![0, 1] };
-        let stats = refine(&h, &mut hm, 8).unwrap();
+        let stats = refine(&h, &mut hm, 8, Objective::Makespan).unwrap();
         assert_eq!(stats.moves, 0);
     }
 }

@@ -1,14 +1,13 @@
 //! The unified solver registry: every semi-matching algorithm in the
 //! workspace behind one entry point.
 //!
-//! Historically each consumer (CLI, bench harness, scheduling policies,
-//! agreement tests) kept its own selector enum and `match` ladder over the
-//! algorithm set ([`crate::BiHeuristic`], [`crate::hyper::HyperHeuristic`],
-//! [`crate::exact::SearchStrategy`], the sched policies, the CLI's string
-//! matching). This module replaces all of that with a single [`SolverKind`]
-//! registry: name-based lookup ([`SolverKind::from_str`]), enumeration
+//! Every consumer (CLI, bench harness, scheduling policies, agreement
+//! tests) reaches the algorithms through a single [`SolverKind`] registry:
+//! name-based lookup ([`SolverKind::from_str`]), enumeration
 //! ([`SolverKind::ALL`] and the class subsets) and one
-//! [`solve(problem, kind)`](solve) dispatcher.
+//! [`solve(problem, kind)`](solve) dispatcher. The dispatch itself is one
+//! `match` in [`SolverKind::solve_in`] that hands the objective to every
+//! arm.
 //!
 //! For repeated traffic the registry exposes a warm path: the [`Solver`]
 //! trait binds a kind to a persistent [`SearchWorkspace`]
@@ -55,24 +54,26 @@ use semimatch_matching::SearchWorkspace;
 
 use crate::error::{CoreError, Result};
 use crate::exact::{
-    brute_force_multiproc, brute_force_multiproc_objective, brute_force_singleproc,
-    brute_force_singleproc_objective, cost_scaling_in, cost_scaling_seeded_in, exact_unit_in,
-    exact_unit_replicated_in, harvey_exact, hk_semi_in, SearchStrategy,
+    brute_force_multiproc_objective, brute_force_singleproc_objective, cost_scaling_in,
+    cost_scaling_seeded_in, exact_unit_in, exact_unit_replicated_in, harvey_exact, hk_semi_in,
+    SearchStrategy,
 };
-use crate::greedy::basic::greedy_in_order_with;
-use crate::greedy::double_sorted::double_sorted_with;
-use crate::greedy::expected::expected_greedy_with;
-use crate::greedy::tasks_by_degree as bi_tasks_by_degree;
+use crate::greedy::basic::basic_greedy;
+use crate::greedy::double_sorted::double_sorted;
+use crate::greedy::expected::expected_greedy;
+use crate::greedy::sorted::sorted_greedy;
+use crate::hyper::egh::expected_greedy_hyp;
+use crate::hyper::evg::expected_vector_greedy_hyp;
 use crate::hyper::obj_greedy::{objective_expected_greedy_hyp, objective_greedy_hyp};
-use crate::hyper::HyperHeuristic;
+use crate::hyper::sgh::sorted_greedy_hyp;
+use crate::hyper::vgh::vector_greedy_hyp;
 use crate::online::{online_schedule, OnlineRule};
 use crate::problem::{HyperMatching, SemiMatching};
-use crate::refine::{iterated_refine_with, refine_with};
+use crate::refine::{iterated_refine, refine};
 use crate::streaming::{
-    streaming_greedy_bipartite_two_pass_with, streaming_greedy_bipartite_with,
-    streaming_greedy_hyper_two_pass_with, streaming_greedy_hyper_with, two_pass_enabled,
+    streaming_greedy_bipartite, streaming_greedy_bipartite_two_pass, streaming_greedy_hyper,
+    streaming_greedy_hyper_two_pass,
 };
-use crate::BiHeuristic;
 
 /// The maximum-matching engine axis, re-exported so registry consumers have
 /// one import surface for every algorithm selector in the workspace.
@@ -210,14 +211,6 @@ impl Solution {
         }
     }
 
-    /// The hypergraph allocation, if this is a `MULTIPROC` solution.
-    pub fn as_hyper(&self) -> Option<&HyperMatching> {
-        match self {
-            Solution::MultiProc(hm) => Some(hm),
-            Solution::SingleProc(_) => None,
-        }
-    }
-
     /// Consumes into the bipartite allocation.
     pub fn into_semi(self) -> Option<SemiMatching> {
         match self {
@@ -260,9 +253,9 @@ impl SolverClass {
 /// Every semi-matching solver in the workspace, unified.
 ///
 /// This is the registry the CLI, bench harness, scheduling policies and the
-/// agreement tests all dispatch through; the per-crate selector enums
-/// ([`BiHeuristic`], [`HyperHeuristic`], [`SearchStrategy`]) survive only as
-/// internal implementation details behind [`SolverKind::solve`].
+/// agreement tests all dispatch through; the exact kinds' deadline-search
+/// selector ([`SearchStrategy`]) survives only as an implementation detail
+/// behind [`SolverKind::solve`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SolverKind {
     // --- SINGLEPROC heuristics (§IV-B) ---
@@ -310,13 +303,17 @@ pub enum SolverKind {
     /// One-pass streaming greedy over the edge/hyperedge stream
     /// (Konrad–Rosén style; both classes, `O(n + p)` state).
     StreamingGreedy,
+    /// [`SolverKind::StreamingGreedy`] plus a second pass that re-places
+    /// the tasks on overloaded processors (Konrad–Rosén's multi-pass
+    /// refinement; both classes, never scores worse than one pass).
+    StreamingTwoPass,
     /// Branch-and-bound exhaustive search (both classes, small instances).
     BruteForce,
 }
 
 impl SolverKind {
     /// Every registered solver.
-    pub const ALL: [SolverKind; 20] = [
+    pub const ALL: [SolverKind; 21] = [
         SolverKind::Basic,
         SolverKind::Sorted,
         SolverKind::DoubleSorted,
@@ -336,11 +333,12 @@ impl SolverKind {
         SolverKind::SghIls,
         SolverKind::Online,
         SolverKind::StreamingGreedy,
+        SolverKind::StreamingTwoPass,
         SolverKind::BruteForce,
     ];
 
     /// Solvers accepting bipartite (`SINGLEPROC`) problems.
-    pub const SINGLEPROC: [SolverKind; 12] = [
+    pub const SINGLEPROC: [SolverKind; 13] = [
         SolverKind::Basic,
         SolverKind::Sorted,
         SolverKind::DoubleSorted,
@@ -352,11 +350,12 @@ impl SolverKind {
         SolverKind::HopcroftKarpSemi,
         SolverKind::CostScaling,
         SolverKind::StreamingGreedy,
+        SolverKind::StreamingTwoPass,
         SolverKind::BruteForce,
     ];
 
     /// Solvers accepting hypergraph (`MULTIPROC`) problems.
-    pub const MULTIPROC: [SolverKind; 10] = [
+    pub const MULTIPROC: [SolverKind; 11] = [
         SolverKind::Sgh,
         SolverKind::Vgh,
         SolverKind::Egh,
@@ -366,13 +365,14 @@ impl SolverKind {
         SolverKind::SghIls,
         SolverKind::Online,
         SolverKind::StreamingGreedy,
+        SolverKind::StreamingTwoPass,
         SolverKind::BruteForce,
     ];
 
     /// Polynomial-time `MULTIPROC` solvers: safe as scheduling policies on
     /// arbitrary-size instances (everything in [`Self::MULTIPROC`] except
     /// the exhaustive search).
-    pub const POLICIES: [SolverKind; 9] = [
+    pub const POLICIES: [SolverKind; 10] = [
         SolverKind::Sgh,
         SolverKind::Vgh,
         SolverKind::Egh,
@@ -382,6 +382,7 @@ impl SolverKind {
         SolverKind::SghIls,
         SolverKind::Online,
         SolverKind::StreamingGreedy,
+        SolverKind::StreamingTwoPass,
     ];
 
     /// The four `SINGLEPROC` heuristics, in the paper's order.
@@ -425,6 +426,7 @@ impl SolverKind {
             SolverKind::SghIls => "sgh-ils",
             SolverKind::Online => "online",
             SolverKind::StreamingGreedy => "streaming-greedy",
+            SolverKind::StreamingTwoPass => "streaming-two-pass",
             SolverKind::BruteForce => "brute-force",
         }
     }
@@ -440,6 +442,7 @@ impl SolverKind {
             SolverKind::SghRefined => "SGH+refine",
             SolverKind::SghIls => "SGH+ILS",
             SolverKind::StreamingGreedy => "streaming",
+            SolverKind::StreamingTwoPass => "streaming-2p",
             SolverKind::HopcroftKarpSemi => "HK-semi",
             other => other.name(),
         }
@@ -462,6 +465,7 @@ impl SolverKind {
             | SolverKind::SghIls
             | SolverKind::Online
             | SolverKind::StreamingGreedy
+            | SolverKind::StreamingTwoPass
             | SolverKind::HopcroftKarpSemi
             | SolverKind::CostScaling
             | SolverKind::BruteForce => "extension",
@@ -489,7 +493,9 @@ impl SolverKind {
             | SolverKind::SghRefined
             | SolverKind::SghIls
             | SolverKind::Online => SolverClass::MultiProc,
-            SolverKind::StreamingGreedy | SolverKind::BruteForce => SolverClass::Either,
+            SolverKind::StreamingGreedy | SolverKind::StreamingTwoPass | SolverKind::BruteForce => {
+                SolverClass::Either
+            }
         }
     }
 
@@ -533,6 +539,7 @@ impl SolverKind {
             SolverKind::SghIls => "SGH + iterated local search",
             SolverKind::Online => "online min-bottleneck dispatch",
             SolverKind::StreamingGreedy => "one-pass streaming greedy (Konrad-Rosen)",
+            SolverKind::StreamingTwoPass => "two-pass streaming greedy (Konrad-Rosen)",
             SolverKind::BruteForce => "branch-and-bound exhaustive search",
         }
     }
@@ -565,10 +572,10 @@ impl SolverKind {
     /// algorithm. Under a sum-type objective:
     ///
     /// * the greedy families (bipartite and hypergraph, including
-    ///   [`SolverKind::Online`] and [`SolverKind::StreamingGreedy`])
-    ///   select by **marginal objective cost** along their usual visit
-    ///   order and tie-breaks (the current-load pair SGH/VGH and the
-    ///   expected-load pair EGH/EVG each collapse to one marginal rule).
+    ///   [`SolverKind::Online`] and the streaming kinds) select by
+    ///   **marginal objective cost** along their usual visit order and
+    ///   tie-breaks (the current-load pair SGH/VGH and the expected-load
+    ///   pair EGH/EVG each collapse to one marginal rule).
     ///   [`Objective::WeightedLoad`] separates per task — its marginal is
     ///   the edge weight itself — so [`SolverKind::Basic`],
     ///   [`SolverKind::Sorted`] and [`SolverKind::DoubleSorted`], which
@@ -590,31 +597,28 @@ impl SolverKind {
         objective: Objective,
         ws: &mut SearchWorkspace,
     ) -> Result<Solution> {
-        if !objective.is_bottleneck() {
-            return self.solve_objective(problem, objective, ws);
-        }
-        match self {
+        let solution = match self {
             SolverKind::Basic => {
-                Ok(Solution::SingleProc(BiHeuristic::Basic.run(self.bipartite(&problem)?)?))
+                Solution::SingleProc(basic_greedy(self.bipartite(&problem)?, objective)?)
             }
             SolverKind::Sorted => {
-                Ok(Solution::SingleProc(BiHeuristic::Sorted.run(self.bipartite(&problem)?)?))
+                Solution::SingleProc(sorted_greedy(self.bipartite(&problem)?, objective)?)
             }
             SolverKind::DoubleSorted => {
-                Ok(Solution::SingleProc(BiHeuristic::DoubleSorted.run(self.bipartite(&problem)?)?))
+                Solution::SingleProc(double_sorted(self.bipartite(&problem)?, objective)?)
             }
             SolverKind::Expected => {
-                Ok(Solution::SingleProc(BiHeuristic::Expected.run(self.bipartite(&problem)?)?))
+                Solution::SingleProc(expected_greedy(self.bipartite(&problem)?, objective)?)
             }
             SolverKind::ExactIncremental => {
                 let g = self.bipartite(&problem)?;
-                Ok(Solution::SingleProc(
-                    exact_unit_in(g, SearchStrategy::Incremental, ws)?.solution,
-                ))
+                let sm = exact_unit_in(g, SearchStrategy::Incremental, ws)?.solution;
+                unit_optimum(g, sm, objective)
             }
             SolverKind::ExactBisection => {
                 let g = self.bipartite(&problem)?;
-                Ok(Solution::SingleProc(exact_unit_in(g, SearchStrategy::Bisection, ws)?.solution))
+                let sm = exact_unit_in(g, SearchStrategy::Bisection, ws)?.solution;
+                unit_optimum(g, sm, objective)
             }
             SolverKind::ExactReplicated => {
                 let g = self.bipartite(&problem)?;
@@ -624,177 +628,90 @@ impl SolverKind {
                     SearchStrategy::Incremental,
                     ws,
                 )?;
-                Ok(Solution::SingleProc(r.solution))
+                unit_optimum(g, r.solution, objective)
             }
-            SolverKind::Harvey => {
-                Ok(Solution::SingleProc(harvey_exact(self.bipartite(&problem)?)?))
-            }
+            // Already a cost-reducing-path fixpoint: optimal for every
+            // symmetric convex objective as computed.
+            SolverKind::Harvey => Solution::SingleProc(harvey_exact(self.bipartite(&problem)?)?),
             SolverKind::HopcroftKarpSemi => {
-                Ok(Solution::SingleProc(hk_semi_in(self.bipartite(&problem)?, ws)?.solution))
+                let g = self.bipartite(&problem)?;
+                unit_optimum(g, hk_semi_in(g, ws)?.solution, objective)
             }
             SolverKind::CostScaling => {
-                Ok(Solution::SingleProc(cost_scaling_in(self.bipartite(&problem)?, ws)?.solution))
+                let g = self.bipartite(&problem)?;
+                unit_optimum(g, cost_scaling_in(g, ws)?.solution, objective)
             }
-            SolverKind::Sgh => {
-                Ok(Solution::MultiProc(HyperHeuristic::Sgh.run(self.hypergraph(&problem)?)?))
-            }
-            SolverKind::Vgh => {
-                Ok(Solution::MultiProc(HyperHeuristic::Vgh.run(self.hypergraph(&problem)?)?))
-            }
-            SolverKind::Egh => {
-                Ok(Solution::MultiProc(HyperHeuristic::Egh.run(self.hypergraph(&problem)?)?))
-            }
-            SolverKind::Evg => {
-                Ok(Solution::MultiProc(HyperHeuristic::Evg.run(self.hypergraph(&problem)?)?))
+            SolverKind::Sgh | SolverKind::Vgh | SolverKind::Egh | SolverKind::Evg => {
+                Solution::MultiProc(self.hyper_greedy(self.hypergraph(&problem)?, objective)?)
             }
             SolverKind::EvgRefined => {
                 let h = self.hypergraph(&problem)?;
-                let mut hm = HyperHeuristic::Evg.run(h)?;
-                refine_with(h, &mut hm, REFINE_PASSES, Objective::Makespan)?;
-                Ok(Solution::MultiProc(hm))
+                let mut hm = SolverKind::Evg.hyper_greedy(h, objective)?;
+                refine(h, &mut hm, REFINE_PASSES, objective)?;
+                Solution::MultiProc(hm)
             }
             SolverKind::SghRefined => {
                 let h = self.hypergraph(&problem)?;
-                let mut hm = HyperHeuristic::Sgh.run(h)?;
-                refine_with(h, &mut hm, REFINE_PASSES, Objective::Makespan)?;
-                Ok(Solution::MultiProc(hm))
+                let mut hm = SolverKind::Sgh.hyper_greedy(h, objective)?;
+                refine(h, &mut hm, REFINE_PASSES, objective)?;
+                Solution::MultiProc(hm)
             }
             SolverKind::SghIls => {
                 let h = self.hypergraph(&problem)?;
-                let mut hm = HyperHeuristic::Sgh.run(h)?;
-                iterated_refine_with(h, &mut hm, ILS_KICKS, REFINE_PASSES, Objective::Makespan)?;
-                Ok(Solution::MultiProc(hm))
+                let mut hm = SolverKind::Sgh.hyper_greedy(h, objective)?;
+                iterated_refine(h, &mut hm, ILS_KICKS, REFINE_PASSES, objective)?;
+                Solution::MultiProc(hm)
             }
-            SolverKind::Online => Ok(Solution::MultiProc(online_schedule(
-                self.hypergraph(&problem)?,
-                OnlineRule::MinBottleneck,
-            )?)),
+            SolverKind::Online => {
+                let h = self.hypergraph(&problem)?;
+                Solution::MultiProc(if objective.is_bottleneck() {
+                    online_schedule(h, OnlineRule::MinBottleneck)?
+                } else {
+                    objective_greedy_hyp(h, objective, false)?
+                })
+            }
             SolverKind::StreamingGreedy => match problem {
-                Problem::SingleProc(g) => Ok(Solution::SingleProc(if two_pass_enabled() {
-                    streaming_greedy_bipartite_two_pass_with(g, Objective::Makespan)?
-                } else {
-                    streaming_greedy_bipartite_with(g, Objective::Makespan)?
-                })),
-                Problem::MultiProc(h) => Ok(Solution::MultiProc(if two_pass_enabled() {
-                    streaming_greedy_hyper_two_pass_with(h, Objective::Makespan)?
-                } else {
-                    streaming_greedy_hyper_with(h, Objective::Makespan)?
-                })),
-            },
-            SolverKind::BruteForce => match problem {
                 Problem::SingleProc(g) => {
-                    let (_, sm) = brute_force_singleproc(g, BRUTE_FORCE_BUDGET)?;
-                    Ok(Solution::SingleProc(sm))
+                    Solution::SingleProc(streaming_greedy_bipartite(g, objective)?)
+                }
+                Problem::MultiProc(h) => Solution::MultiProc(streaming_greedy_hyper(h, objective)?),
+            },
+            SolverKind::StreamingTwoPass => match problem {
+                Problem::SingleProc(g) => {
+                    Solution::SingleProc(streaming_greedy_bipartite_two_pass(g, objective)?)
                 }
                 Problem::MultiProc(h) => {
-                    let (_, hm) = brute_force_multiproc(h, BRUTE_FORCE_BUDGET)?;
-                    Ok(Solution::MultiProc(hm))
+                    Solution::MultiProc(streaming_greedy_hyper_two_pass(h, objective)?)
                 }
             },
-        }
+            SolverKind::BruteForce => match problem {
+                Problem::SingleProc(g) => Solution::SingleProc(
+                    brute_force_singleproc_objective(g, BRUTE_FORCE_BUDGET, objective)?.1,
+                ),
+                Problem::MultiProc(h) => Solution::MultiProc(
+                    brute_force_multiproc_objective(h, BRUTE_FORCE_BUDGET, objective)?.1,
+                ),
+            },
+        };
+        Ok(solution)
     }
 
-    /// The sum-type-objective dispatch behind [`SolverKind::solve_in`].
-    fn solve_objective(
-        self,
-        problem: Problem<'_>,
-        objective: Objective,
-        ws: &mut SearchWorkspace,
-    ) -> Result<Solution> {
-        debug_assert!(!objective.is_bottleneck());
-        match self {
-            SolverKind::Basic => {
-                let g = self.bipartite(&problem)?;
-                let order: Vec<u32> = (0..g.n_left()).collect();
-                Ok(Solution::SingleProc(greedy_in_order_with(g, &order, objective)?))
+    /// The §IV-D greedy behind [`SolverKind::Sgh`], [`SolverKind::Vgh`],
+    /// [`SolverKind::Egh`] and [`SolverKind::Evg`]: the paper's bottleneck
+    /// rule under the makespan; under a sum objective, the marginal rule
+    /// its pair collapses to (current loads for SGH/VGH, expected loads
+    /// for EGH/EVG).
+    fn hyper_greedy(self, h: &Hypergraph, objective: Objective) -> Result<HyperMatching> {
+        match (self, objective.is_bottleneck()) {
+            (SolverKind::Sgh, true) => sorted_greedy_hyp(h),
+            (SolverKind::Vgh, true) => vector_greedy_hyp(h),
+            (SolverKind::Egh, true) => expected_greedy_hyp(h),
+            (SolverKind::Evg, true) => expected_vector_greedy_hyp(h),
+            (SolverKind::Sgh | SolverKind::Vgh, false) => objective_greedy_hyp(h, objective, true),
+            (SolverKind::Egh | SolverKind::Evg, false) => {
+                objective_expected_greedy_hyp(h, objective)
             }
-            SolverKind::Sorted => {
-                let g = self.bipartite(&problem)?;
-                let order = bi_tasks_by_degree(g);
-                Ok(Solution::SingleProc(greedy_in_order_with(g, &order, objective)?))
-            }
-            SolverKind::DoubleSorted => {
-                Ok(Solution::SingleProc(double_sorted_with(self.bipartite(&problem)?, objective)?))
-            }
-            SolverKind::Expected => Ok(Solution::SingleProc(expected_greedy_with(
-                self.bipartite(&problem)?,
-                objective,
-            )?)),
-            SolverKind::ExactIncremental
-            | SolverKind::ExactBisection
-            | SolverKind::ExactReplicated
-            | SolverKind::HopcroftKarpSemi
-            | SolverKind::CostScaling => {
-                // Makespan-exact first, then the cost-reducing-path descent:
-                // its fixpoint is simultaneously optimal for every symmetric
-                // convex objective (Harvey et al.).
-                let g = self.bipartite(&problem)?;
-                let Solution::SingleProc(sm) = self.solve_in(problem, Objective::Makespan, ws)?
-                else {
-                    unreachable!("SINGLEPROC problems yield SINGLEPROC solutions")
-                };
-                Ok(Solution::SingleProc(crate::exact::harvey::optimize(g, sm)))
-            }
-            SolverKind::Harvey => {
-                // Already a cost-reducing-path fixpoint: optimal for every
-                // symmetric convex objective as computed.
-                Ok(Solution::SingleProc(harvey_exact(self.bipartite(&problem)?)?))
-            }
-            SolverKind::Sgh | SolverKind::Vgh => Ok(Solution::MultiProc(objective_greedy_hyp(
-                self.hypergraph(&problem)?,
-                objective,
-                true,
-            )?)),
-            SolverKind::Egh | SolverKind::Evg => Ok(Solution::MultiProc(
-                objective_expected_greedy_hyp(self.hypergraph(&problem)?, objective)?,
-            )),
-            SolverKind::EvgRefined => {
-                let h = self.hypergraph(&problem)?;
-                let mut hm = objective_expected_greedy_hyp(h, objective)?;
-                refine_with(h, &mut hm, REFINE_PASSES, objective)?;
-                Ok(Solution::MultiProc(hm))
-            }
-            SolverKind::SghRefined => {
-                let h = self.hypergraph(&problem)?;
-                let mut hm = objective_greedy_hyp(h, objective, true)?;
-                refine_with(h, &mut hm, REFINE_PASSES, objective)?;
-                Ok(Solution::MultiProc(hm))
-            }
-            SolverKind::SghIls => {
-                let h = self.hypergraph(&problem)?;
-                let mut hm = objective_greedy_hyp(h, objective, true)?;
-                iterated_refine_with(h, &mut hm, ILS_KICKS, REFINE_PASSES, objective)?;
-                Ok(Solution::MultiProc(hm))
-            }
-            SolverKind::Online => Ok(Solution::MultiProc(objective_greedy_hyp(
-                self.hypergraph(&problem)?,
-                objective,
-                false,
-            )?)),
-            SolverKind::StreamingGreedy => match problem {
-                Problem::SingleProc(g) => Ok(Solution::SingleProc(if two_pass_enabled() {
-                    streaming_greedy_bipartite_two_pass_with(g, objective)?
-                } else {
-                    streaming_greedy_bipartite_with(g, objective)?
-                })),
-                Problem::MultiProc(h) => Ok(Solution::MultiProc(if two_pass_enabled() {
-                    streaming_greedy_hyper_two_pass_with(h, objective)?
-                } else {
-                    streaming_greedy_hyper_with(h, objective)?
-                })),
-            },
-            SolverKind::BruteForce => match problem {
-                Problem::SingleProc(g) => {
-                    let (_, sm) =
-                        brute_force_singleproc_objective(g, BRUTE_FORCE_BUDGET, objective)?;
-                    Ok(Solution::SingleProc(sm))
-                }
-                Problem::MultiProc(h) => {
-                    let (_, hm) =
-                        brute_force_multiproc_objective(h, BRUTE_FORCE_BUDGET, objective)?;
-                    Ok(Solution::MultiProc(hm))
-                }
-            },
+            (kind, _) => unreachable!("{kind} is not a hypergraph greedy"),
         }
     }
 
@@ -817,6 +734,18 @@ impl SolverKind {
             }),
         }
     }
+}
+
+/// The exact `SINGLEPROC-UNIT` rule under `objective`: `sm` has the
+/// optimal makespan; under a sum objective the cost-reducing-path descent
+/// turns it into the fixpoint that is simultaneously optimal for every
+/// symmetric convex objective (Harvey et al.).
+fn unit_optimum(g: &Bipartite, sm: SemiMatching, objective: Objective) -> Solution {
+    Solution::SingleProc(if objective.is_bottleneck() {
+        sm
+    } else {
+        crate::exact::harvey::optimize(g, sm)
+    })
 }
 
 impl FromStr for SolverKind {
@@ -966,12 +895,7 @@ impl Solver for KindSolver {
         if self.kind == SolverKind::CostScaling {
             if let (Some(seed), Problem::SingleProc(g)) = (self.seed.take(), &problem) {
                 let r = cost_scaling_seeded_in(g, Some(&seed), &mut self.ws)?;
-                let sm = if objective.is_bottleneck() {
-                    r.solution
-                } else {
-                    crate::exact::harvey::optimize(g, r.solution)
-                };
-                return Ok(Solution::SingleProc(sm));
+                return Ok(unit_optimum(g, r.solution, objective));
             }
         }
         self.seed = None;
@@ -1091,6 +1015,7 @@ mod tests {
                 | SolverKind::SghIls
                 | SolverKind::Online
                 | SolverKind::StreamingGreedy
+                | SolverKind::StreamingTwoPass
                 | SolverKind::BruteForce => {}
             }
             // Every kind appears in exactly the subset arrays its class says.
@@ -1123,7 +1048,7 @@ mod tests {
             assert!(kind.class().accepts(&Problem::MultiProc(&hypergraph())), "{kind}");
         }
         assert_eq!(
-            SolverKind::ALL.len() + 2, // StreamingGreedy and BruteForce are in both subsets
+            SolverKind::ALL.len() + 3, // the two streaming kinds and BruteForce are in both
             SolverKind::SINGLEPROC.len() + SolverKind::MULTIPROC.len(),
         );
     }

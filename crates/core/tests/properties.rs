@@ -4,14 +4,25 @@
 
 use proptest::prelude::*;
 use semimatch_core::exact::{exact_unit, harvey_exact, SearchStrategy};
-use semimatch_core::hyper::HyperHeuristic;
 use semimatch_core::lower_bound::{lower_bound_multiproc, lower_bound_singleproc};
 use semimatch_core::refine::refine;
-use semimatch_core::BiHeuristic;
+use semimatch_core::solver::{Problem, SolverKind};
+use semimatch_core::{HyperMatching, Objective, SemiMatching};
 use semimatch_gen::hyper::{hyper_instance, HyperKind, HyperParams};
 use semimatch_gen::rng::Xoshiro256;
 use semimatch_gen::weights::{apply_weights, WeightScheme};
 use semimatch_gen::{fewg_manyg, hilo_permuted};
+use semimatch_graph::{Bipartite, Hypergraph};
+
+/// The registry's makespan run of a bipartite heuristic kind.
+fn run_bi(kind: SolverKind, g: &Bipartite) -> SemiMatching {
+    kind.solve(Problem::SingleProc(g)).unwrap().into_semi().unwrap()
+}
+
+/// The registry's makespan run of a hypergraph heuristic kind.
+fn run_hyper(kind: SolverKind, h: &Hypergraph) -> HyperMatching {
+    kind.solve(Problem::MultiProc(h)).unwrap().into_hyper().unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -29,8 +40,8 @@ proptest! {
         let harvey = harvey_exact(&g).unwrap();
         prop_assert_eq!(exact.makespan, harvey.makespan(&g));
         prop_assert!(lb <= exact.makespan);
-        for h in BiHeuristic::ALL {
-            let m = h.run(&g).unwrap().makespan(&g);
+        for h in SolverKind::BI_HEURISTICS {
+            let m = run_bi(h, &g).makespan(&g);
             prop_assert!(m >= exact.makespan, "{} beat the optimum", h.label());
             // The greedy family is never catastrophically off on these
             // benign random families (loose sanity bound).
@@ -55,12 +66,12 @@ proptest! {
         let mut h = hyper_instance(params, &mut rng);
         apply_weights(&mut h, weights, &mut rng);
         let lb = lower_bound_multiproc(&h).unwrap();
-        for heuristic in HyperHeuristic::ALL {
-            let mut hm = heuristic.run(&h).unwrap();
+        for heuristic in SolverKind::HYPER_HEURISTICS {
+            let mut hm = run_hyper(heuristic, &h);
             hm.validate(&h).unwrap();
             let before = hm.makespan(&h);
             prop_assert!(before >= lb, "{} below LB", heuristic.label());
-            refine(&h, &mut hm, 32).unwrap();
+            refine(&h, &mut hm, 32, Objective::Makespan).unwrap();
             prop_assert!(hm.makespan(&h) <= before);
             prop_assert!(hm.makespan(&h) >= lb);
         }

@@ -85,17 +85,8 @@ pub fn max_assignment_in(g: &Bipartite, capacity: u32, ws: &mut SearchWorkspace)
 
 /// Maximum-cardinality assignment with per-processor capacities.
 pub fn max_assignment_with_capacities(g: &Bipartite, capacities: &[u32]) -> Assignment {
-    max_assignment_with_capacities_in(g, capacities, &mut SearchWorkspace::new())
-}
-
-/// [`max_assignment_with_capacities`] on a reusable workspace arena.
-pub fn max_assignment_with_capacities_in(
-    g: &Bipartite,
-    capacities: &[u32],
-    ws: &mut SearchWorkspace,
-) -> Assignment {
     assert_eq!(capacities.len(), g.n_right() as usize, "one capacity per processor");
-    solve_flow(g, |u| capacities[u as usize] as u64, ws)
+    solve_flow(g, |u| capacities[u as usize] as u64, &mut SearchWorkspace::new())
 }
 
 /// Shared flow formulation over any capacity provider (uniform capacities
@@ -220,11 +211,6 @@ pub fn extract_probe_in(
 /// `D = capacity` admits a matching covering `V1`).
 pub fn feasible(g: &Bipartite, capacity: u32) -> bool {
     max_assignment(g, capacity).is_complete()
-}
-
-/// [`feasible`] on a reusable workspace arena.
-pub fn feasible_in(g: &Bipartite, capacity: u32, ws: &mut SearchWorkspace) -> bool {
-    max_assignment_in(g, capacity, ws).is_complete()
 }
 
 #[cfg(test)]

@@ -23,12 +23,7 @@ pub fn mc21(g: &Bipartite) -> Matching {
 /// lookahead's effect — the MatchMaker study's headline observation is
 /// that lookahead is what makes DFS competitive in practice.
 pub fn dfs_plain(g: &Bipartite) -> Matching {
-    dfs_plain_in(g, &mut SearchWorkspace::new())
-}
-
-/// [`dfs_plain`] drawing its visited marks and DFS stack from a reusable
-/// workspace.
-pub fn dfs_plain_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Matching {
+    let ws = &mut SearchWorkspace::new();
     let mut m = greedy_init(g);
     let n1 = g.n_left() as usize;
     ws.reserve(g.n_left(), g.n_right());

@@ -9,9 +9,10 @@
 //! `semimatch_core::exact::brute_force_multiproc` at small sizes).
 
 use semimatch_core::error::Result;
-use semimatch_core::hyper::HyperHeuristic;
+use semimatch_core::hyper::evg::expected_vector_greedy_hyp;
 use semimatch_core::lower_bound::lower_bound_multiproc;
 use semimatch_core::refine::refine;
+use semimatch_core::Objective;
 use semimatch_matching::capacitated::max_assignment;
 
 use crate::convert::{to_bipartite, to_hypergraph};
@@ -65,8 +66,8 @@ pub fn meets_deadline(inst: &Instance, deadline: u64) -> Result<DeadlineVerdict>
         return Ok(DeadlineVerdict::Infeasible);
     }
     // …and witness from above.
-    let mut hm = HyperHeuristic::Evg.run(&h)?;
-    refine(&h, &mut hm, 16)?;
+    let mut hm = expected_vector_greedy_hyp(&h)?;
+    refine(&h, &mut hm, 16, Objective::Makespan)?;
     if hm.makespan(&h) <= deadline {
         return Ok(DeadlineVerdict::Feasible(Schedule::from_hyper_matching(&h, &hm)));
     }

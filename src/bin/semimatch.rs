@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use semimatch::core::lower_bound::{lower_bound_multiproc, lower_bound_singleproc};
 use semimatch::core::objective::Objective;
 use semimatch::core::quality::score_ratio;
-use semimatch::core::refine::refine_with;
+use semimatch::core::refine::refine;
 use semimatch::gen::params::{Config, Family};
 use semimatch::gen::rng::Xoshiro256;
 use semimatch::gen::weights::WeightScheme;
@@ -107,10 +107,7 @@ Telemetry (any command, most useful on solve/replay):
                           JSON (open in chrome://tracing or Perfetto).
 replay --policy also accepts a comma-separated list; each policy replays
 the trace through its own engine and the report shows per-policy final
-gaps (score - lower bound) plus counter deltas against the first policy.
-solve --two-pass turns on the two-pass StreamingGreedy refinement
-(second pass re-places tasks on overloaded processors); other kinds
-ignore it.";
+gaps (score - lower bound) plus counter deltas against the first policy.";
 
 /// Splits `args` into positional arguments and flag pairs. Flags come as
 /// `--flag value` or `--flag=value`; `--metrics` alone is also accepted
@@ -124,9 +121,6 @@ fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
         if let Some(name) = args[i].strip_prefix("--") {
             if let Some((name, value)) = name.split_once('=') {
                 flags.insert(name, value);
-                i += 1;
-            } else if name == "two-pass" {
-                flags.insert(name, "on");
                 i += 1;
             } else if name == "metrics" {
                 match args.get(i + 1).map(String::as_str) {
@@ -458,9 +452,6 @@ fn objective_flag(flags: &HashMap<&str, &str>) -> Result<Objective, String> {
 fn solve(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
     let path = *positional.get(1).ok_or("solve needs a file argument")?;
     let objective = objective_flag(flags)?;
-    // Opt into the two-pass StreamingGreedy refinement for this process;
-    // every other kind ignores the flag.
-    semimatch::core::streaming::set_two_pass(flags.contains_key("two-pass"));
     if let Some(kinds) = flags.get("kinds") {
         return solve_batch(path, kinds, objective, flags);
     }
@@ -607,7 +598,7 @@ fn solve_hypergraph(
         // --refine takes a pass count as its value; the descent accepts
         // moves under the requested objective.
         let passes = num(flags["refine"], "--refine")?;
-        let stats = refine_with(&h, &mut hm, passes, objective).map_err(|e| e.to_string())?;
+        let stats = refine(&h, &mut hm, passes, objective).map_err(|e| e.to_string())?;
         Some((stats, hm.makespan(&h), hm.score(&h, objective)))
     } else {
         None

@@ -420,7 +420,7 @@ fn solve_and_replay_emit_metrics_json() {
 /// The serving-daemon subcommand (the ISSUE's smoke contract): a
 /// per-tenant status table on stdout, a schema-conformant metrics dump
 /// with a finite gap gauge per tenant, and zero shed at low load —
-/// plus the `--two-pass` solve flag and the per-policy gap column of
+/// plus the `streaming-two-pass` solve kind and the per-policy gap column of
 /// `replay --policy a,b,c`.
 #[test]
 fn serve_subcommand_reports_tenant_gaps_and_sheds_nothing() {
@@ -454,11 +454,10 @@ fn serve_subcommand_reports_tenant_gaps_and_sheds_nothing() {
     assert_eq!(metric_value(json, "daemon.shed_apply_error"), 0, "generated traces apply cleanly");
     assert!(json.contains("\"daemon.tenant.gap\""), "gap histogram missing: {json}");
 
-    // `solve --two-pass` routes streaming-greedy through the refinement.
+    // The two-pass streaming refinement is a registry kind of its own.
     let dir = tmp_dir("serve-cli");
     let (bg, _hg) = write_tiny_instances(&dir);
-    let out =
-        semimatch(&["solve", bg.to_str().unwrap(), "--algo", "streaming-greedy", "--two-pass"]);
+    let out = semimatch(&["solve", bg.to_str().unwrap(), "--algo", "streaming-two-pass"]);
     assert!(out.status.success(), "{out:?}");
     assert!(stdout(&out).contains("makespan"), "{}", stdout(&out));
 

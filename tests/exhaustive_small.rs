@@ -10,9 +10,15 @@ use semimatch::core::exact::{
     brute_force_singleproc, exact_unit, exact_unit_replicated, harvey_exact, SearchStrategy,
 };
 use semimatch::core::lower_bound::lower_bound_singleproc;
-use semimatch::core::BiHeuristic;
+use semimatch::core::solver::{Problem, SolverKind};
+use semimatch::core::SemiMatching;
 use semimatch::graph::Bipartite;
 use semimatch::matching::{certify_maximum, maximum_matching, Algorithm};
+
+/// The registry's makespan run of a bipartite heuristic kind.
+fn run_bi(kind: SolverKind, g: &Bipartite) -> SemiMatching {
+    kind.solve(Problem::SingleProc(g)).unwrap().into_semi().unwrap()
+}
 
 /// Decodes bitmask `mask` into the 3×3 edge set.
 fn graph_from_mask(mask: u32) -> Bipartite {
@@ -78,8 +84,8 @@ fn all_3x3_heuristics_bounded() {
             continue;
         }
         let opt = exact_unit(&g, SearchStrategy::Bisection).unwrap().makespan;
-        for h in BiHeuristic::ALL {
-            let sm = h.run(&g).unwrap();
+        for h in SolverKind::BI_HEURISTICS {
+            let sm = run_bi(h, &g);
             sm.validate(&g).unwrap();
             let m = sm.makespan(&g);
             assert!(m >= opt, "mask {mask} {}", h.label());

@@ -4,14 +4,20 @@
 //! path a downstream user of the library (or the CLI) takes.
 
 use semimatch::core::analysis::LoadProfile;
-use semimatch::core::hyper::HyperHeuristic;
 use semimatch::core::lower_bound::lower_bound_multiproc;
 use semimatch::core::refine::{iterated_refine, refine};
 use semimatch::core::solution_io::{read_solution, write_solution};
+use semimatch::core::solver::{Problem, SolverKind};
+use semimatch::core::{HyperMatching, Objective};
 use semimatch::gen::params::{Config, Family};
 use semimatch::gen::weights::WeightScheme;
 use semimatch::graph::io::{read_hypergraph, write_hypergraph};
-use semimatch::graph::HypergraphStats;
+use semimatch::graph::{Hypergraph, HypergraphStats};
+
+/// The registry's makespan run of a hypergraph heuristic kind.
+fn run_hyper(kind: SolverKind, h: &Hypergraph) -> HyperMatching {
+    kind.solve(Problem::MultiProc(h)).unwrap().into_hyper().unwrap()
+}
 
 fn tiny_grid() -> Vec<Config> {
     let mut out = Vec::new();
@@ -40,17 +46,17 @@ fn full_pipeline_on_every_family() {
             let lb = lower_bound_multiproc(&h).unwrap();
             assert!(lb >= 1);
 
-            for heuristic in HyperHeuristic::ALL {
-                let mut hm = heuristic.run(&h).unwrap();
+            for heuristic in SolverKind::HYPER_HEURISTICS {
+                let mut hm = run_hyper(heuristic, &h);
                 hm.validate(&h).unwrap();
                 let before = hm.makespan(&h);
                 assert!(before >= lb, "{} {} below LB", cfg.name(), heuristic.label());
 
                 // Refinement chain never regresses.
-                refine(&h, &mut hm, 8).unwrap();
+                refine(&h, &mut hm, 8, Objective::Makespan).unwrap();
                 let refined = hm.makespan(&h);
                 assert!(refined <= before);
-                iterated_refine(&h, &mut hm, 4, 8).unwrap();
+                iterated_refine(&h, &mut hm, 4, 8, Objective::Makespan).unwrap();
                 assert!(hm.makespan(&h) <= refined);
                 assert!(hm.makespan(&h) >= lb);
 
@@ -84,8 +90,10 @@ fn unit_hilo_families_tie_across_heuristics() {
     let total = 4;
     for i in 0..total {
         let h = cfg.instance(7, i);
-        let makespans: Vec<u64> =
-            HyperHeuristic::ALL.iter().map(|heur| heur.run(&h).unwrap().makespan(&h)).collect();
+        let makespans: Vec<u64> = SolverKind::HYPER_HEURISTICS
+            .iter()
+            .map(|heur| run_hyper(*heur, &h).makespan(&h))
+            .collect();
         if makespans.windows(2).all(|w| w[0] == w[1]) {
             ties += 1;
         }
@@ -108,8 +116,8 @@ fn related_weights_order_evg_before_sgh() {
     let mut evg_total = 0u64;
     for i in 0..4 {
         let h = cfg.instance(11, i);
-        sgh_total += HyperHeuristic::Sgh.run(&h).unwrap().makespan(&h);
-        evg_total += HyperHeuristic::Evg.run(&h).unwrap().makespan(&h);
+        sgh_total += run_hyper(SolverKind::Sgh, &h).makespan(&h);
+        evg_total += run_hyper(SolverKind::Evg, &h).makespan(&h);
     }
     assert!(
         evg_total <= sgh_total,

@@ -11,7 +11,7 @@ use semimatch::core::hyper::evg::{expected_vector_greedy_hyp, expected_vector_gr
 use semimatch::core::hyper::vgh::{vector_greedy_hyp, vector_greedy_hyp_naive};
 use semimatch::core::lower_bound::lower_bound_multiproc;
 use semimatch::core::refine::refine;
-use semimatch::solver::{solve, Problem, SolverKind};
+use semimatch::solver::{solve, Objective, Problem, SolverKind};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -60,13 +60,13 @@ proptest! {
         for kind in SolverKind::HYPER_HEURISTICS {
             let mut hm = solve(problem, kind).unwrap().into_hyper().unwrap();
             let before = hm.makespan(&h);
-            refine(&h, &mut hm, 64).unwrap();
+            refine(&h, &mut hm, 64, Objective::Makespan).unwrap();
             let after = hm.makespan(&h);
             prop_assert!(after <= before, "{} got worse", kind.name());
             hm.validate(&h).unwrap();
             // A second run from the fixpoint moves nothing.
             let frozen = hm.clone();
-            let stats = refine(&h, &mut hm, 64).unwrap();
+            let stats = refine(&h, &mut hm, 64, Objective::Makespan).unwrap();
             prop_assert_eq!(stats.moves, 0);
             prop_assert_eq!(&hm, &frozen);
         }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use semimatch::core::exact::{brute_force_multiproc_objective, brute_force_singleproc_objective};
 use semimatch::core::objective::balanced_score;
-use semimatch::core::refine::refine_with;
+use semimatch::core::refine::refine;
 use semimatch::core::HyperMatching;
 use semimatch::graph::{Bipartite, Hypergraph};
 use semimatch::solver::{solve_with, Objective, Problem, Score, SolverKind};
@@ -94,7 +94,7 @@ proptest! {
                 let sol = solve_with(problem, start_kind, objective).unwrap();
                 let mut hm: HyperMatching = sol.into_hyper().unwrap();
                 let before = hm.score(&h, objective);
-                refine_with(&h, &mut hm, 16, objective).unwrap();
+                refine(&h, &mut hm, 16, objective).unwrap();
                 hm.validate(&h).unwrap();
                 prop_assert!(
                     hm.score(&h, objective) <= before,

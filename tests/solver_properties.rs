@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use semimatch::graph::{Bipartite, Hypergraph};
-use semimatch::solver::{solve, solve_many, Objective, Problem, Solver, SolverKind};
+use semimatch::solver::{solve, solve_many, solve_with, Objective, Problem, Solver, SolverKind};
 
 /// Random unit-weight bipartite instances with every task covered (the
 /// precondition of the exact `SINGLEPROC-UNIT` kinds), small enough for
@@ -134,38 +134,27 @@ fn weighted_hypergraph() -> impl Strategy<Value = Hypergraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The two-pass streaming refinement agrees with one pass on
-    /// validity and never scores worse, under every reported objective —
-    /// the contract behind `solve --two-pass`. The two-pass entry points
-    /// are called directly (not through the process-global flag) so this
-    /// test cannot race other test threads.
+    /// `streaming-two-pass` agrees with `streaming-greedy` on validity and
+    /// never scores worse, under every reported objective, on both
+    /// problem classes.
     #[test]
     fn two_pass_streaming_never_scores_worse(
         g in weighted_bipartite(),
         h in weighted_hypergraph(),
     ) {
-        use semimatch::core::streaming::{
-            streaming_greedy_bipartite_two_pass_with, streaming_greedy_bipartite_with,
-            streaming_greedy_hyper_two_pass_with, streaming_greedy_hyper_with,
-        };
         for objective in Objective::REPORTED {
-            let one = streaming_greedy_bipartite_with(&g, objective).unwrap();
-            let two = streaming_greedy_bipartite_two_pass_with(&g, objective).unwrap();
-            one.validate(&g).unwrap();
-            two.validate(&g).unwrap();
-            prop_assert!(
-                two.score(&g, objective) <= one.score(&g, objective),
-                "bipartite second pass worsened {objective:?}"
-            );
-
-            let one = streaming_greedy_hyper_with(&h, objective).unwrap();
-            let two = streaming_greedy_hyper_two_pass_with(&h, objective).unwrap();
-            one.validate(&h).unwrap();
-            two.validate(&h).unwrap();
-            prop_assert!(
-                two.score(&h, objective) <= one.score(&h, objective),
-                "hyper second pass worsened {objective:?}"
-            );
+            for problem in [Problem::SingleProc(&g), Problem::MultiProc(&h)] {
+                let one = solve_with(problem, SolverKind::StreamingGreedy, objective).unwrap();
+                let two = solve_with(problem, SolverKind::StreamingTwoPass, objective).unwrap();
+                one.validate(&problem).unwrap();
+                two.validate(&problem).unwrap();
+                prop_assert!(
+                    two.score(&problem, objective).unwrap()
+                        <= one.score(&problem, objective).unwrap(),
+                    "second pass worsened {objective:?} on {}",
+                    problem.class_name()
+                );
+            }
         }
     }
 }
