@@ -13,6 +13,20 @@
 //!   provably optimal (the symmetric-difference argument of the
 //!   cost-reducing-path optimality condition), so eager repair keeps the
 //!   engine's bottleneck equal to a from-scratch exact solve at all times.
+//!
+//!   Two structures keep that repair to about one traversal per round.
+//!   *A dead set per round*: every search of a round shares one visited
+//!   stamp. A failed search from `u` stamps exactly the processors
+//!   reachable from `u`, all at load ≥ max − 1; that set is closed under
+//!   reachability, so no improving path passes through it. Later searches
+//!   of the round skip stamped sources and treat stamped processors as
+//!   visited, which leaves the BFS order and tree over every other
+//!   processor, and so the shifts, unchanged. A shift starts a new round.
+//!   *A resident index*: the processor → assigned tasks lists live across
+//!   events. Arrivals, departures and shifts update them in place; the
+//!   events that move tasks without doing so (processor churn, heuristic
+//!   repair, resolves) mark them stale, and the next exact repair
+//!   rebuilds them once.
 //! * **hypergraph / weighted traces**: greedy re-placement plus a bounded
 //!   `refine`-style local search (first-improvement descent under the
 //!   min-resulting-bottleneck criterion), run shard-locally. Processors
@@ -23,6 +37,11 @@
 //! Full from-scratch resolves (the periodic policy) go through a resident
 //! [`KindSolver`] so the workspace warm path of the solver registry is
 //! reused across resolves.
+//!
+//! Arithmetic contract: the sum over live tasks of their heaviest
+//! configuration weight never exceeds `u64::MAX`. Arrivals and reweights
+//! that would break it are rejected before any state changes, so no load
+//! (nor a load plus the weight being placed) can overflow.
 
 use rayon::prelude::*;
 use semimatch_core::objective::{balanced_score, Objective, Score};
@@ -67,6 +86,18 @@ fn min_config_weight(configs: &[ConfigState]) -> u128 {
     configs.iter().map(|c| c.weight).min().unwrap_or(0) as u128
 }
 
+/// The heaviest weight among a task's configurations: the most it can
+/// add to any processor's load under any assignment.
+fn max_config_weight(configs: &[ConfigState]) -> u128 {
+    configs.iter().map(|c| c.weight).max().unwrap_or(0) as u128
+}
+
+/// Removes task `t` from a processor's list of assigned tasks.
+fn unlist(list: &mut Vec<u32>, t: u32) {
+    let pos = list.iter().position(|&x| x == t).expect("task listed on its processor");
+    list.swap_remove(pos);
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 struct ProcSlot {
     live: bool,
@@ -87,8 +118,14 @@ struct RepairScratch {
     pred_proc: Vec<u32>,
     pred_cfg: Vec<u32>,
     queue: Vec<u32>,
-    /// Processor → assigned live tasks, refilled by each exact repair.
+    /// Processor → live tasks whose chosen configuration's first pin it
+    /// is. Valid across events while `index_fresh` holds.
     assigned: Vec<Vec<u32>>,
+    /// Whether `assigned` matches the live assignment; cleared by every
+    /// mutation that moves tasks without updating it.
+    index_fresh: bool,
+    /// Source order of the sum-objective descent.
+    order: Vec<u32>,
 }
 
 impl RepairScratch {
@@ -191,6 +228,9 @@ pub struct Engine {
     /// any assignment must place somewhere, maintained incrementally for
     /// the O(1) per-event lower-bound gauge.
     min_weight_sum: u128,
+    /// Σ over live tasks of their heaviest configuration weight; kept at
+    /// most `u64::MAX` (the module's arithmetic contract).
+    max_weight_sum: u128,
     events_since_resolve: u32,
     /// Objective score right after the last repair/resolve (lazy
     /// threshold, in the configured objective's units).
@@ -225,6 +265,7 @@ impl Engine {
             nonunit_configs: 0,
             counters: Counters::default(),
             min_weight_sum: 0,
+            max_weight_sum: 0,
             events_since_resolve: 0,
             baseline: Score(0),
             resolver: cfg.resolve_kind.solver(),
@@ -332,7 +373,10 @@ impl Engine {
         self.wide_configs == 0 && self.nonunit_configs == 0
     }
 
-    /// Ingests one event, then repairs according to the policy.
+    /// Ingests one event, then repairs according to the policy. An event
+    /// rejected at ingestion leaves the engine unchanged. Debug builds
+    /// assert after every event that the live score is at least
+    /// [`Engine::lower_bound_estimate`].
     pub fn apply(&mut self, ev: &Event) -> Result<()> {
         match ev {
             Event::Arrive { task, configs } => self.arrive(*task, configs)?,
@@ -342,11 +386,13 @@ impl Engine {
             Event::DropProc { proc } => self.drop_proc(*proc)?,
         }
         self.counters.events += 1;
-        if !obs::enabled() {
-            return self.run_policy();
-        }
-        let repair_start = std::time::Instant::now();
+        let repair_start = obs::enabled().then(std::time::Instant::now);
         let res = self.run_policy();
+        debug_assert!(
+            self.score(self.cfg.objective) >= self.lower_bound_estimate(),
+            "live score below its lower bound"
+        );
+        let Some(repair_start) = repair_start else { return res };
         let elapsed = repair_start.elapsed().as_nanos();
         obs::observe("serve.repair_latency_ns", elapsed.min(u64::MAX as u128) as u64);
         obs::counter_add("serve.events", 1);
@@ -428,6 +474,10 @@ impl Engine {
             }
             states.push(ConfigState { pins, weight: *weight });
         }
+        let max_weight_sum = self.max_weight_sum + max_config_weight(&states);
+        if max_weight_sum > u64::MAX as u128 {
+            return Err(ServeError::WeightOverflow { task });
+        }
         let chosen =
             self.choose(&states, None).expect("all arriving configurations are live by validation");
         self.wide_configs += states.iter().filter(|c| c.pins.len() > 1).count();
@@ -435,6 +485,11 @@ impl Engine {
         let state = TaskState { configs: states, chosen };
         self.add_contribution(&state);
         self.min_weight_sum += min_config_weight(&state.configs);
+        self.max_weight_sum = max_weight_sum;
+        if self.scratch.index_fresh {
+            let p = state.configs[chosen as usize].pins[0];
+            self.scratch.assigned[p as usize].push(task);
+        }
         self.tasks[slot] = Some(state);
         self.n_live_tasks += 1;
         self.counters.placements += 1;
@@ -448,7 +503,12 @@ impl Engine {
             .and_then(Option::take)
             .ok_or(ServeError::UnknownTask(task))?;
         self.remove_contribution(&state);
+        if self.scratch.index_fresh {
+            let p = state.configs[state.chosen as usize].pins[0];
+            unlist(&mut self.scratch.assigned[p as usize], task);
+        }
         self.min_weight_sum = self.min_weight_sum.saturating_sub(min_config_weight(&state.configs));
+        self.max_weight_sum -= max_config_weight(&state.configs);
         self.wide_configs -= state.configs.iter().filter(|c| c.pins.len() > 1).count();
         self.nonunit_configs -= state.configs.iter().filter(|c| c.weight != 1).count();
         self.n_live_tasks -= 1;
@@ -471,9 +531,15 @@ impl Engine {
         if weights.contains(&0) {
             return Err(ServeError::ZeroWeight { task });
         }
+        let heaviest = weights.iter().copied().max().unwrap_or(0) as u128;
+        let max_weight_sum = self.max_weight_sum - max_config_weight(&state.configs) + heaviest;
+        if max_weight_sum > u64::MAX as u128 {
+            return Err(ServeError::WeightOverflow { task });
+        }
         // Re-borrow mutably only after validation.
         let mut state = self.tasks[task as usize].take().expect("checked live above");
         self.remove_contribution(&state);
+        self.max_weight_sum = max_weight_sum;
         self.min_weight_sum = self.min_weight_sum.saturating_sub(min_config_weight(&state.configs));
         for (cfg, &w) in state.configs.iter_mut().zip(weights) {
             match (cfg.weight != 1, w != 1) {
@@ -505,6 +571,7 @@ impl Engine {
         let shard = (0..self.cfg.shards).min_by_key(|&s| counts[s as usize]).unwrap_or(0);
         self.procs[slot] = ProcSlot { live: true, load: 0, shard };
         self.n_live_procs += 1;
+        self.scratch.index_fresh = false;
         Ok(())
     }
 
@@ -534,6 +601,7 @@ impl Engine {
         self.procs[slot].live = false;
         self.procs[slot].load = 0;
         self.n_live_procs -= 1;
+        self.scratch.index_fresh = false;
         for t in displaced {
             let mut state = self.tasks[t as usize].take().expect("displaced task is live");
             // Subtract the old contribution from its still-live pins (the
@@ -592,6 +660,8 @@ impl Engine {
         best.map(|(_, i)| i)
     }
 
+    /// Adds the chosen configuration's weight to its processors. Cannot
+    /// overflow: a load never exceeds `max_weight_sum ≤ u64::MAX`.
     fn add_contribution(&mut self, state: &TaskState) {
         let c = &state.configs[state.chosen as usize];
         for &p in &c.pins {
@@ -635,33 +705,30 @@ impl Engine {
     /// the path. When no bottleneck processor admits one, no assignment of
     /// the live instance has a smaller makespan.
     fn exact_repair(&mut self) {
-        // Processor → assigned tasks: the resident index is cleared and
-        // refilled per repair (O(live) writes, no allocation once warm;
-        // taken out of the scratch so `reduce_from(&mut self, …)` borrows).
+        // Taken out of the scratch so `reduce_from(&mut self, …)` borrows.
         let mut assigned = std::mem::take(&mut self.scratch.assigned);
-        for list in &mut assigned {
-            list.clear();
+        if !self.scratch.index_fresh {
+            self.fill_index(&mut assigned);
+            self.scratch.index_fresh = true;
         }
-        if assigned.len() < self.procs.len() {
-            assigned.resize(self.procs.len(), Vec::new());
-        }
-        for (t, state) in
-            self.tasks.iter().enumerate().filter_map(|(t, s)| Some((t as u32, s.as_ref()?)))
-        {
-            assigned[state.configs[state.chosen as usize].pins[0] as usize].push(t);
-        }
+        debug_assert!(self.index_matches_rebuild(&assigned), "resident task index drifted");
         loop {
             let max = self.bottleneck();
             if max <= 1 {
                 break;
             }
+            // One stamp per round: a failed search leaves its closed dead
+            // set stamped, so later sources in it are skipped and later
+            // searches do not re-enter it (see the module doc).
+            let stamp = self.scratch.next_stamp(self.procs.len());
             let mut improved = false;
             for u in 0..self.procs.len() as u32 {
-                if !self.procs[u as usize].live || self.procs[u as usize].load != max {
+                let slot = self.procs[u as usize];
+                if !slot.live || slot.load != max || self.scratch.visited[u as usize] == stamp {
                     continue;
                 }
                 self.counters.searches += 1;
-                if self.reduce_from(u, max, &mut assigned) {
+                if self.reduce_from(u, max, stamp, &mut assigned) {
                     self.counters.shifts += 1;
                     improved = true;
                     break;
@@ -678,11 +745,15 @@ impl Engine {
         // Harvey et al. optimal semi-matching, simultaneously optimal for
         // every symmetric convex objective.
         if !self.cfg.objective.is_bottleneck() {
+            let mut order = std::mem::take(&mut self.scratch.order);
             loop {
                 let mut improved = false;
-                let mut order: Vec<u32> = (0..self.procs.len() as u32)
-                    .filter(|&u| self.procs[u as usize].live && self.procs[u as usize].load >= 2)
-                    .collect();
+                order.clear();
+                order.extend(
+                    (0..self.procs.len() as u32).filter(|&u| {
+                        self.procs[u as usize].live && self.procs[u as usize].load >= 2
+                    }),
+                );
                 order.sort_by_key(|&u| std::cmp::Reverse(self.procs[u as usize].load));
                 // Drain each source fully and finish the pass before
                 // re-sorting: every shift re-reads live loads, so a stale
@@ -690,17 +761,34 @@ impl Engine {
                 // certifies the fixpoint with a clean full pass. This keeps
                 // the rebuild+sort cost at one per improving pass instead
                 // of one per one-unit shift.
-                for u in order {
+                //
+                // The stamp's marks are the dead sets of the failed searches
+                // since the last shift, at thresholds down to `dead_at`:
+                // dead for any threshold ≤ `dead_at`, so a rising threshold
+                // or a shift takes a fresh stamp. The closing pass, which
+                // certifies the fixpoint, applies no shift and visits
+                // sources by non-increasing load, so it shares one stamp.
+                let mut stamp = self.scratch.next_stamp(self.procs.len());
+                let mut dead_at = u64::MAX;
+                for &u in &order {
                     loop {
                         let lu = self.procs[u as usize].load;
                         if lu < 2 {
                             break;
                         }
+                        if lu > dead_at {
+                            stamp = self.scratch.next_stamp(self.procs.len());
+                        } else if self.scratch.visited[u as usize] == stamp {
+                            break;
+                        }
                         self.counters.searches += 1;
-                        if self.reduce_from(u, lu, &mut assigned) {
+                        if self.reduce_from(u, lu, stamp, &mut assigned) {
                             self.counters.shifts += 1;
                             improved = true;
+                            stamp = self.scratch.next_stamp(self.procs.len());
+                            dead_at = u64::MAX;
                         } else {
+                            dead_at = lu;
                             break;
                         }
                     }
@@ -709,14 +797,43 @@ impl Engine {
                     break;
                 }
             }
+            self.scratch.order = order;
         }
         self.scratch.assigned = assigned;
     }
 
-    /// One BFS from bottleneck processor `u`; applies the shift and
-    /// returns `true` when a processor with load ≤ `max − 2` is reached.
-    fn reduce_from(&mut self, u: u32, max: u64, assigned: &mut [Vec<u32>]) -> bool {
-        let stamp = self.scratch.next_stamp(self.procs.len());
+    /// Clears and refills the processor → tasks index from the live
+    /// assignment (O(live) writes, no allocation once warm).
+    fn fill_index(&self, assigned: &mut Vec<Vec<u32>>) {
+        for list in assigned.iter_mut() {
+            list.clear();
+        }
+        if assigned.len() < self.procs.len() {
+            assigned.resize(self.procs.len(), Vec::new());
+        }
+        for (t, state) in self.live_tasks() {
+            assigned[state.configs[state.chosen as usize].pins[0] as usize].push(t);
+        }
+    }
+
+    /// Whether the resident index lists, per processor, the same set of
+    /// tasks as a from-scratch rebuild (the debug-build invariant).
+    fn index_matches_rebuild(&self, assigned: &[Vec<u32>]) -> bool {
+        let mut rebuilt = Vec::new();
+        self.fill_index(&mut rebuilt);
+        let sorted = |list: &[u32]| {
+            let mut list = list.to_vec();
+            list.sort_unstable();
+            list
+        };
+        assigned.len() == rebuilt.len()
+            && assigned.iter().zip(&rebuilt).all(|(a, b)| sorted(a) == sorted(b))
+    }
+
+    /// One BFS from processor `u` under threshold `max`; applies the shift
+    /// and returns `true` when a processor with load ≤ `max − 2` is
+    /// reached. Processors already carrying `stamp` count as visited.
+    fn reduce_from(&mut self, u: u32, max: u64, stamp: u32, assigned: &mut [Vec<u32>]) -> bool {
         self.scratch.queue.clear();
         self.scratch.queue.push(u);
         self.scratch.visited[u as usize] = stamp;
@@ -763,11 +880,7 @@ impl Engine {
             let cfg = self.scratch.pred_cfg[end as usize];
             let state = self.tasks[t as usize].as_mut().expect("shifted task is live");
             state.chosen = cfg;
-            let pos = assigned[from as usize]
-                .iter()
-                .position(|&x| x == t)
-                .expect("task listed on its processor");
-            assigned[from as usize].swap_remove(pos);
+            unlist(&mut assigned[from as usize], t);
             assigned[end as usize].push(t);
             end = from;
         }
@@ -785,6 +898,7 @@ impl Engine {
     /// concurrently — producing exactly the state the sequential shard
     /// loop would.
     fn heuristic_repair(&mut self) {
+        self.scratch.index_fresh = false;
         if self.cfg.shards > 1 && rayon::current_num_threads() > 1 {
             self.parallel_local_sweeps();
         } else {
@@ -926,6 +1040,7 @@ impl Engine {
     fn resolve(&mut self) -> Result<()> {
         let _span = obs::span!("serve.resolve");
         self.counters.resolves += 1;
+        self.scratch.index_fresh = false;
         if self.n_live_tasks == 0 {
             self.baseline = Score(0);
             return Ok(());
@@ -1362,7 +1477,7 @@ mod tests {
         e.apply(&arrive(2, &[(&[0], 1), (&[1], 1)])).unwrap();
         assert_eq!(e.bottleneck(), 1, "2-hop shift reaches the perfect spread");
         assert_eq!((e.load_of(0), e.load_of(1), e.load_of(2)), (Some(1), Some(1), Some(1)));
-        assert!(e.counters().shifts >= 1);
+        assert_eq!(e.counters().shifts, 1, "one shift along the 2-hop path");
         let snap = e.snapshot();
         let g = snap.to_bipartite().unwrap();
         let opt = solve(Problem::SingleProc(&g), SolverKind::ExactBisection)
@@ -1370,6 +1485,68 @@ mod tests {
             .makespan(&Problem::SingleProc(&g))
             .unwrap();
         assert_eq!(e.bottleneck(), opt);
+    }
+
+    #[test]
+    fn failed_searches_share_one_dead_set_per_round() {
+        // Four processors at load 2, every task free to run on any of
+        // them: one closed component of k = 4 bottleneck processors and
+        // no improving path. The first failed search stamps all four, so
+        // the round skips the other three sources instead of searching
+        // from each.
+        for objective in [Objective::Makespan, Objective::FlowTime] {
+            let cfg = EngineConfig {
+                objective,
+                policy: RepairPolicy::Lazy { slack: u64::MAX },
+                ..eager()
+            };
+            let mut e = Engine::new(cfg, 4).unwrap();
+            let anywhere: [(&[u32], u64); 4] = [(&[0], 1), (&[1], 1), (&[2], 1), (&[3], 1)];
+            for t in 0..8 {
+                e.apply(&arrive(t, &anywhere)).unwrap();
+            }
+            assert_eq!((0..4).map(|p| e.load_of(p).unwrap()).collect::<Vec<_>>(), [2, 2, 2, 2]);
+            let before = e.counters();
+            e.repair_now();
+            let d = e.counters().delta(&before);
+            // The makespan loop's round, plus one pass of the sum descent.
+            let expected = if objective.is_bottleneck() { 1 } else { 2 };
+            assert_eq!(d.searches, expected, "{objective:?}: one search per dead set");
+            assert_eq!(d.shifts, 0);
+            assert_eq!(e.bottleneck(), 2);
+        }
+    }
+
+    #[test]
+    fn weight_overflow_is_rejected_before_any_state_changes() {
+        // Three arrivals of weight 2^63 − 1 on two processors: the third
+        // pushes the live total past u64::MAX, where a load would wrap and
+        // report a makespan below its own lower bound.
+        let heavy = i64::MAX as u64;
+        let mut e = Engine::new(eager(), 2).unwrap();
+        e.apply(&arrive(0, &[(&[0], heavy)])).unwrap();
+        e.apply(&arrive(1, &[(&[1], heavy)])).unwrap();
+        let state = |e: &Engine| (e.n_live_tasks(), e.scores(), e.lower_bound_estimate(), e.gap());
+        let before = state(&e);
+        assert_eq!(
+            e.apply(&arrive(2, &[(&[0], heavy)])),
+            Err(ServeError::WeightOverflow { task: 2 })
+        );
+        assert_eq!(state(&e), before);
+        assert!(e.score(Objective::Makespan) >= e.lower_bound_estimate());
+        // A reweight past the contract is refused the same way; one that
+        // lands exactly on u64::MAX goes through.
+        assert_eq!(
+            e.apply(&Event::Reweight { task: 1, weights: vec![u64::MAX] }),
+            Err(ServeError::WeightOverflow { task: 1 })
+        );
+        assert_eq!(state(&e), before);
+        e.apply(&Event::Reweight { task: 1, weights: vec![heavy + 1] }).unwrap();
+        assert_eq!(e.bottleneck(), heavy + 1);
+        // Departures release their share of the budget.
+        e.apply(&Event::Depart { task: 0 }).unwrap();
+        e.apply(&arrive(2, &[(&[0], heavy)])).unwrap();
+        assert_eq!(e.n_live_tasks(), 2);
     }
 
     #[test]

@@ -51,6 +51,13 @@ pub enum ServeError {
         /// Weights supplied.
         got: usize,
     },
+    /// An arrival or reweight would push the sum over live tasks of their
+    /// heaviest configuration weight past `u64::MAX`, where loads could
+    /// overflow.
+    WeightOverflow {
+        /// The offending task.
+        task: u32,
+    },
     /// The engine configuration is unusable for the instance (zero
     /// shards, zero resolve period, or a bipartite-only resolve kind on a
     /// live instance with non-singleton configurations).
@@ -88,6 +95,11 @@ impl fmt::Display for ServeError {
             ServeError::WeightCountMismatch { task, expected, got } => {
                 write!(f, "reweight of task {task}: got {got} weights for {expected} configs")
             }
+            ServeError::WeightOverflow { task } => write!(
+                f,
+                "task {task} would push the live total of heaviest weights past {}",
+                u64::MAX
+            ),
             ServeError::Config { msg } => write!(f, "engine configuration: {msg}"),
             ServeError::Core(e) => write!(f, "resolve failed: {e}"),
         }

@@ -107,7 +107,9 @@ pub struct Counters {
     pub placements: u64,
     /// Full repair invocations (eager: one per event).
     pub repairs: u64,
-    /// Augmenting-path searches run by the exact repair.
+    /// Augmenting-path searches (BFS launches) run by the exact repair.
+    /// A source that an earlier failed search of the same round already
+    /// proved dead is skipped and not counted.
     pub searches: u64,
     /// Augmenting paths applied (each shifts ≥ 1 task).
     pub shifts: u64,

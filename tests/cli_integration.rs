@@ -263,6 +263,25 @@ fn objective_flag_changes_the_optimal_choice() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Regression: three arrivals of weight 2^63 − 1 on two processors used
+/// to wrap a load and report a makespan below its own lower bound with a
+/// gap of 0. The third arrival breaks the engine's weight contract, so
+/// `replay` must fail on it and name the event.
+#[test]
+fn replay_rejects_a_trace_whose_weights_overflow() {
+    let dir = tmp_dir("overflow");
+    let tr = dir.join("overflow.tr");
+    let heavy = i64::MAX;
+    let trace = format!("procs 2\narrive 0 {heavy}:0\narrive 1 {heavy}:0\narrive 2 {heavy}:0\n");
+    std::fs::write(&tr, trace).unwrap();
+    let out = semimatch(&["replay", tr.to_str().unwrap()]);
+    assert!(!out.status.success(), "{}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("event 3 (arrive) failed"), "{err}");
+    assert!(err.contains("task 2"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Regression: the `--kinds` comparison table must flag scores beyond
 /// `u64::MAX` with a marker instead of printing a silently narrowed (or
 /// saturated) number that reads as a real score.

@@ -3,10 +3,11 @@
 //! scratch.
 //!
 //! * Unit/single-processor traces under eager repair: the engine's
-//!   bottleneck **equals** the exact from-scratch optimum at the end of
-//!   the trace (the augmenting-path repair maintains bottleneck
-//!   optimality through arrivals, departures, reweights and processor
-//!   churn).
+//!   bottleneck **equals** the exact from-scratch optimum after every
+//!   event (the augmenting-path repair maintains bottleneck optimality
+//!   through arrivals, departures, reweights and processor churn), also
+//!   when reweights and policy swaps invalidate or bypass its resident
+//!   index.
 //! * Per-event re-solves (`Periodic { every: 1 }`): the final state is by
 //!   construction the configured kind's from-scratch solution — pinning
 //!   the snapshot/compaction/install machinery.
@@ -16,14 +17,20 @@
 
 use proptest::prelude::*;
 use semimatch::gen::rng::Xoshiro256;
-use semimatch::gen::trace::{generate_trace, TraceParams};
+use semimatch::gen::trace::{generate_trace, Event, TraceParams};
 use semimatch::serve::{Engine, EngineConfig, RepairPolicy};
-use semimatch::solver::{solve, Problem, SolverKind};
+use semimatch::solver::{solve, solve_with, Objective, Problem, Score, SolverKind};
 
 /// Random unit-weight singleton traces (the `SINGLEPROC-UNIT` shape) with
 /// full churn: departures, (unit) reweights, bursts and processor churn.
 fn singleproc_trace() -> impl Strategy<Value = semimatch::serve::Trace> {
-    (1u32..6, 1u32..40, 0u32..=100, 0u32..5, 0u64..1_000_000).prop_map(
+    unit_trace(6, 40)
+}
+
+/// [`singleproc_trace`] with fewer than `max_procs` initial processors
+/// and `max_arrivals` arrivals.
+fn unit_trace(max_procs: u32, max_arrivals: u32) -> impl Strategy<Value = semimatch::serve::Trace> {
+    (1u32..max_procs, 1u32..max_arrivals, 0u32..=100, 0u32..5, 0u64..1_000_000).prop_map(
         |(procs, arrivals, churn, proc_events, seed)| {
             let params = TraceParams {
                 n_procs: procs,
@@ -59,31 +66,146 @@ fn hyper_trace() -> impl Strategy<Value = semimatch::serve::Trace> {
     })
 }
 
+/// The exact from-scratch optimum under `objective` of the engine's live
+/// unit-singleton instance (0 when nothing is live).
+fn exact_optimum(engine: &Engine, objective: Objective) -> Score {
+    if engine.n_live_tasks() == 0 {
+        return Score(0);
+    }
+    let g = engine.snapshot().to_bipartite().expect("singleton instance");
+    let problem = Problem::SingleProc(&g);
+    let sol = solve_with(problem, SolverKind::ExactBisection, objective).unwrap();
+    sol.score(&problem, objective).unwrap()
+}
+
+/// Applies event `i`; if it ran under eager repair on a unit-singleton
+/// engine, asserts the bottleneck is the exact makespan optimum and,
+/// under a sum objective, that the live score is that objective's exact
+/// optimum too.
+fn apply_and_check(engine: &mut Engine, ev: &Event, i: usize) -> Result<(), TestCaseError> {
+    let eager = engine.config().policy == RepairPolicy::Eager;
+    engine.apply(ev).unwrap();
+    if eager && engine.is_unit_singleton() {
+        let makespan = exact_optimum(engine, Objective::Makespan);
+        prop_assert_eq!(Score(engine.bottleneck() as u128), makespan, "event {} ({})", i, ev.tag());
+        let objective = engine.config().objective;
+        if !objective.is_bottleneck() {
+            let opt = exact_optimum(engine, objective);
+            prop_assert_eq!(
+                engine.score(objective),
+                opt,
+                "event {} ({}) {:?}",
+                i,
+                ev.tag(),
+                objective
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn eager_incremental_repair_matches_from_scratch_exact(trace in singleproc_trace()) {
-        for shards in [1, 2] {
-            let cfg = EngineConfig { shards, ..EngineConfig::default() };
-            let engine = Engine::replay(cfg, &trace).unwrap();
-            prop_assert!(engine.is_unit_singleton());
-            if engine.n_live_tasks() == 0 {
-                prop_assert_eq!(engine.bottleneck(), 0);
+        for (objective, shards) in [
+            (Objective::Makespan, 1),
+            (Objective::Makespan, 2),
+            (Objective::FlowTime, 1),
+        ] {
+            let cfg = EngineConfig { objective, shards, ..EngineConfig::default() };
+            let mut engine = Engine::new(cfg, trace.n_procs).unwrap();
+            for (i, ev) in trace.events.iter().enumerate() {
+                apply_and_check(&mut engine, ev, i)?;
+                prop_assert!(engine.is_unit_singleton());
+                let snap = engine.snapshot();
+                snap.matching.validate(&snap.hypergraph).unwrap();
+                prop_assert_eq!(snap.matching.makespan(&snap.hypergraph), engine.bottleneck());
+            }
+        }
+    }
+
+    /// Batched repairs under flow time: the trace is placed without
+    /// repair (`Lazy { slack: u64::MAX }`) and every eighth event runs one
+    /// `repair_now`, so each sum-objective descent starts far from the
+    /// optimum and drains many sources per pass, with thresholds that
+    /// rise and fall between shifts. Each descent must end at the exact
+    /// flow-time (and makespan) optimum.
+    #[test]
+    fn batched_flowtime_repair_reaches_the_optimum(trace in unit_trace(12, 160)) {
+        let cfg = EngineConfig {
+            objective: Objective::FlowTime,
+            policy: RepairPolicy::Lazy { slack: u64::MAX },
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(cfg, trace.n_procs).unwrap();
+        for (i, ev) in trace.events.iter().enumerate() {
+            engine.apply(ev).unwrap();
+            if i % 8 != 7 && i + 1 != trace.events.len() {
                 continue;
             }
-            let snap = engine.snapshot();
-            snap.matching.validate(&snap.hypergraph).unwrap();
-            prop_assert_eq!(snap.matching.makespan(&snap.hypergraph), engine.bottleneck());
-            let g = snap.to_bipartite().expect("singleton trace");
-            let problem = Problem::SingleProc(&g);
-            let opt = solve(problem, SolverKind::ExactBisection).unwrap().makespan(&problem).unwrap();
-            prop_assert_eq!(
-                engine.bottleneck(),
-                opt,
-                "incremental repair diverged from the from-scratch optimum ({} shards)",
-                shards
-            );
+            engine.repair_now();
+            let makespan = exact_optimum(&engine, Objective::Makespan);
+            prop_assert_eq!(Score(engine.bottleneck() as u128), makespan, "event {}", i);
+            let flowtime = exact_optimum(&engine, Objective::FlowTime);
+            prop_assert_eq!(engine.score(Objective::FlowTime), flowtime, "event {}", i);
+        }
+    }
+
+    /// The resident processor → task index survives every mix of events
+    /// that invalidates or bypasses it: reweights that take a task from
+    /// unit to weighted (heuristic repair moves tasks behind the index's
+    /// back) and back, and policy swaps between `Eager` and the daemon's
+    /// budget demotion `Lazy { slack: u64::MAX }` (placement only, the
+    /// index kept up by arrivals and departures alone). Whenever an event
+    /// is applied eagerly on a unit-singleton engine, the bottleneck is
+    /// the exact from-scratch optimum, under the makespan objective and,
+    /// for the sum-objective descent, under flow time.
+    #[test]
+    fn resident_index_survives_reweights_and_policy_swaps(
+        trace in singleproc_trace(),
+        seed in 0u64..1_000_000,
+        flowtime in proptest::bool::ANY,
+    ) {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let objective = if flowtime { Objective::FlowTime } else { Objective::Makespan };
+        let cfg = EngineConfig { objective, ..EngineConfig::default() };
+        let mut engine = Engine::new(cfg, trace.n_procs).unwrap();
+        // Live tasks with their configuration counts, and which of them
+        // currently carry a non-unit weight.
+        let mut live: Vec<(u32, usize)> = Vec::new();
+        let mut heavy: Vec<u32> = Vec::new();
+        for (i, ev) in trace.events.iter().enumerate() {
+            if rng.below(4) == 0 {
+                let swapped = match engine.config().policy {
+                    RepairPolicy::Eager => RepairPolicy::Lazy { slack: u64::MAX },
+                    _ => RepairPolicy::Eager,
+                };
+                engine.set_policy(swapped).unwrap();
+            }
+            if !live.is_empty() && rng.below(3) == 0 {
+                let (task, n_configs) = live[rng.below(live.len() as u64) as usize];
+                let weight = if heavy.contains(&task) {
+                    heavy.retain(|&t| t != task);
+                    1
+                } else {
+                    heavy.push(task);
+                    2 + rng.below(3)
+                };
+                let reweight = Event::Reweight { task, weights: vec![weight; n_configs] };
+                apply_and_check(&mut engine, &reweight, i)?;
+            }
+            match ev {
+                Event::Arrive { task, configs } => live.push((*task, configs.len())),
+                Event::Depart { task } => {
+                    live.retain(|(t, _)| t != task);
+                    heavy.retain(|t| t != task);
+                }
+                Event::Reweight { task, .. } => heavy.retain(|t| t != task),
+                Event::AddProc { .. } | Event::DropProc { .. } => {}
+            }
+            apply_and_check(&mut engine, ev, i)?;
         }
     }
 
